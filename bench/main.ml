@@ -216,7 +216,7 @@ let finish_compare = function
     if any_regression then exit 1
 
 let () =
-  let options = ref { (Bench.default_options ()) with json_path = Some "BENCH_results.json" } in
+  let options = ref { Bench.default_options with json_path = Some "BENCH_results.json" } in
   let compare_base = ref None in
   let no_micro = ref false in
   let campaign = ref Campaign.default in
@@ -235,7 +235,7 @@ let () =
     [
       ( "--scale",
         Arg.String set_scale,
-        "SCALE  quick (default) or paper; overrides the deprecated FULL=1 env var" );
+        "SCALE  quick (default) or paper" );
       ("--jobs", Arg.Int (fun n -> options := { !options with jobs = n }), "N  worker domains");
       ( "--only",
         Arg.String add_only,

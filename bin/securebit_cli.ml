@@ -181,18 +181,10 @@ let scale_conv = Arg.enum [ ("quick", Experiment.Quick); ("paper", Experiment.Pa
 let scale_arg =
   Arg.(
     value
-    & opt (some scale_conv) None
-    & info [ "scale" ] ~docv:"SCALE"
-        ~doc:
-          "Experiment scale: quick or paper. Defaults to quick (or to paper when \
-           the deprecated FULL=1 environment variable is set).")
+    & opt scale_conv Experiment.Quick
+    & info [ "scale" ] ~docv:"SCALE" ~doc:"Experiment scale: quick (the default) or paper.")
 
 let fig_cmd =
-  let full_arg =
-    Arg.(
-      value & flag
-      & info [ "full" ] ~doc:"Use the paper-scale parameters (slow); same as --scale paper.")
-  in
   let csv_arg =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit tables as CSV instead of aligned text.")
   in
@@ -202,12 +194,7 @@ let fig_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"ID" ~doc:"Experiment id: e1..e8, a1..a5, bounds, mobile or all.")
   in
-  let run full scale csv jobs id =
-    let scale =
-      match scale with
-      | Some scale -> scale
-      | None -> if full then Experiment.Paper else Figures.scale_of_env ()
-    in
+  let run scale csv jobs id =
     let show job =
       let outcome = Runner.run_job ~jobs ~scale job in
       if csv then print_string (Table.to_csv outcome.Runner.table)
@@ -233,7 +220,7 @@ let fig_cmd =
   in
   Cmd.v
     (Cmd.info "fig" ~doc:"Regenerate a table/figure of the paper's evaluation.")
-    Term.(const run $ full_arg $ scale_arg $ csv_arg $ jobs_arg $ id_arg)
+    Term.(const run $ scale_arg $ csv_arg $ jobs_arg $ id_arg)
 
 (* --- bench --------------------------------------------------------------- *)
 
@@ -280,7 +267,6 @@ let bench_cmd =
              No-op at --jobs 1.")
   in
   let run scale jobs only json_path no_json compare_base profile sanitize =
-    let scale = match scale with Some scale -> scale | None -> Figures.scale_of_env () in
     let only = List.concat_map (String.split_on_char ',') only in
     let json_path = if no_json then None else json_path in
     match Bench.run { Bench.scale; jobs; only; json_path; profile; sanitize } with

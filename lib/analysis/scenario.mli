@@ -97,10 +97,11 @@ val run :
   spec ->
   result
 (** [tap] is forwarded to {!Engine.run}: one digest per executed round.
-    [mode] selects the engine loop (default [`Sparse]; results are
-    mode-independent — the equivalence suite holds all loops, including
-    every [`Sharded] tile count, byte-identical — so [`Dense] is only
-    interesting as the reference and [`Sharded] as the parallel engine).
+    [mode] selects the engine mode (default [`Sparse]; results are
+    mode-independent — the equivalence suite holds every mode, including
+    every [`Sharded] tile count, byte-identical.  [`Sharded] is the
+    parallel engine; [`Dense] is not a speed choice but the
+    contract-checking reference, see {!Engine.mode}).
     [tile_of] is forwarded to {!Engine.run} (sharded runs only).
     [topology], if given, skips the deployment build and runs on the
     supplied topology instead: it must be the very topology this spec

@@ -68,7 +68,7 @@ type diagnostic = {
 let codes =
   [
     "new-alloc-class"; "alloc-count-growth"; "alloc-count-shrink"; "baseline-missing";
-    "unused-allowlist"; "parse-error";
+    "unused-allowlist"; "parse-error"; "unknown-hot-root";
   ]
 
 let severity_of = function
@@ -85,14 +85,17 @@ let has_errors diags = List.exists (fun d -> d.severity = Lint.Error) diags
 
 (* --- hot roots ----------------------------------------------------------- *)
 
-(* The annotated hot paths: per-active-round work in each engine loop,
-   shard phases A/B, channel resolution, and the per-observation voting
-   kernels.  Root names are {!Callgraph.reachable} patterns (qualified
-   suffixes), grouped so the inventory reads per hot path, not per
-   function. *)
+(* The annotated hot paths: the engine's per-active-round phases (the
+   serial round and the phases it shares with the shards), the shard
+   phases A/B and merge, channel resolution, and the per-observation
+   voting kernels.  Root names are {!Callgraph.reachable} patterns
+   (qualified suffixes), grouped so the inventory reads per hot path, not
+   per function; a pattern that names no function is an error. *)
 let hot_roots =
   [
-    ("engine-round", [ "Engine.process_round"; "Engine.fan_out" ]);
+    ( "engine-round",
+      [ "Engine.process_round"; "Engine.fan_in"; "Engine.observe_sweep"; "Engine.complete_sweep" ]
+    );
     ("shard-phase", [ "Engine.phase_a"; "Engine.phase_b"; "Engine.merge_and_draw" ]);
     ("channel-resolve", [ "Channel.resolve"; "Channel.resolve_packed" ]);
     ("voting-index", [ "Voting.Index.add"; "Voting.Index.decide"; "Voting.Tally.add" ]);
@@ -206,8 +209,7 @@ let sites_of_fn graph ~root (fn : Callgraph.fn_info) =
 
 (* All classified sites reachable from the roots, allowlist applied;
    returns the surviving sites and the allowlist entries that fired. *)
-let sites_of_parsed ?(roots = hot_roots) parsed_files =
-  let graph = Callgraph.build parsed_files in
+let sites_of_graph ~roots graph =
   let sites =
     List.concat_map
       (fun (root, patterns) ->
@@ -227,6 +229,38 @@ let sites_of_parsed ?(roots = hot_roots) parsed_files =
       sites
   in
   (kept, List.rev !used)
+
+let sites_of_parsed ?(roots = hot_roots) parsed_files =
+  sites_of_graph ~roots (Callgraph.build parsed_files)
+
+(* A root pattern that names no function: a renamed hot function would
+   otherwise drop out of the walk, and its coverage vanish as a mere
+   shrink nudge.  Judged only when a file of the root's module was linted,
+   so partial-tree runs do not flag roots they never saw; the diagnostic
+   points at that file. *)
+let unknown_roots ~roots ~parsed graph =
+  List.concat_map
+    (fun (group, patterns) ->
+      List.filter_map
+        (fun pattern ->
+          let modname = List.hd (String.split_on_char '.' pattern) in
+          match List.find_opt (fun (path, _) -> Callgraph.module_of_path path = modname) parsed with
+          | Some (path, _) when Callgraph.reachable graph ~roots:[ pattern ] = [] ->
+            Some
+              {
+                severity = Lint.Error;
+                file = path;
+                line = 1;
+                code = "unknown-hot-root";
+                message =
+                  Printf.sprintf
+                    "hot root %s (group %s) names no function, so nothing it covered is \
+                     inventoried; point hot_roots in %s at the function's current name"
+                    pattern group allowlist_file;
+              }
+          | Some _ | None -> None)
+        patterns)
+    roots
 
 (* --- inventory ----------------------------------------------------------- *)
 
@@ -360,8 +394,9 @@ let diff ~golden_name ~golden ~sites current =
 
 let default_golden_name = "ALLOC_baseline.json"
 
-let finish ?roots ~golden_name ~golden ~parse_errors ~linted parsed =
-  let sites, used = sites_of_parsed ?roots parsed in
+let finish ?(roots = hot_roots) ~golden_name ~golden ~parse_errors ~linted parsed =
+  let graph = Callgraph.build parsed in
+  let sites, used = sites_of_graph ~roots graph in
   (* An entry is stale only when its target file was actually linted this
      run — partial-tree invocations must not flag audits they never
      exercised (same contract as [Lint.unused_allowlist]). *)
@@ -415,7 +450,7 @@ let finish ?roots ~golden_name ~golden ~parse_errors ~linted parsed =
   List.sort
     (fun a b ->
       match String.compare a.file b.file with 0 -> Int.compare a.line b.line | c -> c)
-    (parse_errors @ unused @ golden_diags)
+    (parse_errors @ unused @ unknown_roots ~roots ~parsed graph @ golden_diags)
 
 let lint_strings ?roots ?(golden_name = default_golden_name) ~golden files =
   let parsed, parse_errors =

@@ -12,7 +12,10 @@
     - count growth within a known class → {b warning}
       ([alloc-count-growth]);
     - shrinkage → {b info} nudge to refresh the golden file
-      ([alloc-count-shrink]).
+      ([alloc-count-shrink]);
+    - a root pattern that names no function in its (linted) module →
+      {b error} ([unknown-hot-root]), so a renamed hot function cannot
+      drop out of the walk as a mere shrink.
 
     Purely syntactic and documented approximate (no typing, no
     higher-order flow; flambda may eliminate some flagged sites) — the
@@ -57,7 +60,7 @@ val codes : string list
 
 val hot_roots : (string * string list) list
 (** The annotated hot paths: group name to {!Callgraph.reachable} root
-    patterns. *)
+    patterns, each of which must name a function. *)
 
 type allow = {
   al_file : string;
@@ -107,7 +110,8 @@ val lint_strings :
   diagnostic list
 (** The full pass over in-memory files: parse, walk, classify, apply the
     allowlist, diff against [golden] ([None] = missing baseline, an
-    error), report stale allowlist entries.  Sorted by file then line. *)
+    error), report stale allowlist entries and root patterns that name no
+    function.  Sorted by file then line. *)
 
 val lint_structures :
   ?roots:(string * string list) list ->

@@ -111,11 +111,11 @@ let exempt code path =
   | "engine-mode" -> in_dir "lib/check" path || in_dir "test" path
   | _ -> false
 
-(* Does this application of [Engine.run] pin the loop variant?  The sparse
-   and dense loops are held byte-identical by the equivalence property
-   test, but a caller that omits [~mode] silently follows whatever the
-   default is — production call sites must state which loop they mean
-   (the dense/sparse comparison harness under lib/check is exempt). *)
+(* Does this application of [Engine.run] pin the loop variant?  The
+   modes are held byte-identical by the equivalence property test, but a
+   caller that omits [~mode] silently follows whatever the default is —
+   production call sites must state which loop they mean (the cross-mode
+   comparison harness under lib/check is exempt). *)
 let is_engine_run txt =
   match List.rev (Longident.flatten txt) with
   | "run" :: "Engine" :: _ -> true
@@ -184,7 +184,7 @@ let lint_structure_used ~path structure =
             when is_engine_run txt && not (has_mode_arg args) ->
             emit "engine-mode"
               "Engine.run without ~mode follows the default loop silently; state `Sparse or \
-               `Dense at the call site"
+               `Sharded k at the call site (`Dense is the contract-checking reference)"
               e.Parsetree.pexp_loc
           | _ -> ());
           default.expr it e);

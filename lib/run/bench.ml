@@ -7,9 +7,9 @@ type options = {
   sanitize : bool;
 }
 
-let default_options () =
+let default_options =
   {
-    scale = Figures.scale_of_env ();
+    scale = Experiment.Quick;
     jobs = 1;
     only = [];
     json_path = None;

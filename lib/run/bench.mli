@@ -17,9 +17,8 @@ type options = {
           [--jobs N] determinism check *)
 }
 
-val default_options : unit -> options
-(** Sequential, every job, no JSON, no profiling; scale from
-    {!Figures.scale_of_env} (the deprecated [FULL] fallback). *)
+val default_options : options
+(** Quick scale, sequential, every job, no JSON, no profiling. *)
 
 val selection : string list -> (Experiment.job list, string) result
 (** Resolve ids against {!Registry.all} (canonical order kept); [Error]

@@ -67,21 +67,34 @@ let fingerprint_observation = function
 let fingerprint_packed slot_fp p =
   if p = 0 then 0 else if p land 3 = 1 then 1 else slot_fp.(p lsr 2)
 
-(* One tile of a sharded run: a disjoint slice of the machines plus every
-   piece of per-round state the serial sparse loop keeps globally, sized to
-   the tile and touched only by the tile's own domain between barriers.
-   [members] is ascending, and every array indexed by "local index" li
-   refers to machine [members.(li)]. *)
+(* [stop_when] is polled every [stop_stride] rounds, which keeps
+   progress-based cut-offs off the per-round hot path. *)
+let stop_stride = 96
+
+(* One tile: a slice of the machines plus all the per-round state the
+   round needs, touched only by the tile's own domain between barriers.
+   The serial loop is the one-tile case, members [0 .. n-1].  [members]
+   is ascending, and every array indexed by "local index" li refers to
+   machine [members.(li)]. *)
 type 'm tile = {
   t_id : int;
   members : int array;
   cal : Calendar.t;  (* wakeup rounds -> local indices *)
+  (* [stamp.(li) = r] marks machine li scheduled for round r; it both
+     dedupes calendar entries and drives the ascending-id sweeps. *)
   stamp : int array;
+  (* Machines stamped for the very next round, bypassing the heap: inside
+     a relevant TDMA interval a machine wakes six rounds in a row, and a
+     pop + push per poll would cost more than the calls the calendar
+     saves, so only wakeups that jump ahead go through [cal]. *)
   mutable pre : int;
   mutable pre_next : int;
   mutable t_pending : int;
   completed : bool array;
-  (* channel scratch, mirroring the serial per-receiver aggregates *)
+  (* Flat per-receiver channel aggregates: resolution only needs the
+     sensed power sum, the strongest decodable signal and the signal
+     counts, so the round allocates nothing.  [touched] stacks the
+     receivers [has_rx] marks, for the after-round reset. *)
   sum_power : float array;
   n_decodable : int array;
   best_power : float array;
@@ -90,10 +103,11 @@ type 'm tile = {
   has_rx : bool array;
   touched : int array;
   mutable n_touched : int;
-  (* phase-A output: this tile's transmitters (ascending) and payloads *)
+  (* this round's transmitters (ascending) and payloads; the serial tile
+     shares them with the run's global slots *)
   tx_ids : int array;
   txs : 'm slots;
-  (* merged-slot activity words for this tile: bit m set iff merged
+  (* merged-slot activity words (sharded only): bit m set iff merged
      transmitter m has a link into the tile.  Written by the coordinator
      during the merge, consumed and cleared by the tile in phase B — the
      halo exchange is whole words, not per-transmission lists. *)
@@ -103,31 +117,329 @@ type 'm tile = {
   mutable n_polled : int;
 }
 
-let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(stop_stride = 96)
-    ?idle_stop ?tap ?tile_of ~topology ~machines ~waiters ~cap () =
+let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?idle_stop ?tap
+    ?tile_of ~topology ~machines ~waiters ~cap () =
   let n = Topology.size topology in
   if Array.length machines <> n || Array.length waiters <> n then
     invalid_arg "Engine.run: machines/waiters size mismatch";
+  (* The dense reference is the sparse loop with every wakeup contract
+     replaced by "wake me every round". *)
+  let machines =
+    match mode with
+    | `Dense -> Array.map (fun m -> { m with next_active = always_active }) machines
+    | `Sparse | `Sharded _ -> machines
+  in
+  let tiles, tile_of =
+    match mode with
+    | `Dense | `Sparse -> (1, [||])
+    | `Sharded requested ->
+      let tiles = max 1 (min requested (max 1 n)) in
+      ( tiles,
+        match tile_of with
+        | Some a ->
+          if Array.length a <> n then invalid_arg "Engine.run: tile_of length mismatch";
+          Array.iter
+            (fun t ->
+              if t < 0 || t >= tiles then invalid_arg "Engine.run: tile_of entry out of range")
+            a;
+          a
+        | None -> Shard.partition topology ~tiles )
+  in
+  let sharded = tiles > 1 in
   let broadcasts = Array.make n 0 in
   let completion_round = Array.make n (-1) in
   (* Outgoing links in CSR form, built once per topology and cached on the
-     graph (receivers descending within each row — see Graph.csr): repeated
-     runs over one topology stop paying the O(links) rebuild. *)
+     graph (receivers descending within each row — see Graph.csr). *)
   let { Graph.out_off; out_rcv; out_pow } = Graph.csr (Topology.graph topology) in
   let loss = channel.Channel.loss_prob in
-  let pending = ref 0 in
-  Array.iter (fun w -> if w then incr pending) waiters;
+  let lossy = loss > 0.0 in
+  let draw_loss () =
+    match rng with
+    | Some r -> Rng.bernoulli r loss
+    | None -> invalid_arg "Engine.run: loss_prob > 0 requires an rng"
+  in
+  (* Tile members (ascending) and each machine's local index; the serial
+     tile's are both the identity. *)
+  let members, local_ix =
+    if not sharded then
+      let ids = Array.init n Fun.id in
+      ([| ids |], ids)
+    else begin
+      let counts = Array.make tiles 0 in
+      Array.iter (fun t -> counts.(t) <- counts.(t) + 1) tile_of;
+      let members = Array.init tiles (fun t -> Array.make counts.(t) 0) in
+      let local_ix = Array.make n 0 in
+      Array.fill counts 0 tiles 0;
+      Array.iteri
+        (fun i t ->
+          members.(t).(counts.(t)) <- i;
+          local_ix.(i) <- counts.(t);
+          counts.(t) <- counts.(t) + 1)
+        tile_of;
+      (members, local_ix)
+    end
+  in
+  (* The round's transmissions in global ascending order: payloads and
+     transmitter ids per slot.  The serial tile collects into these
+     directly; shards collect their own and the coordinator merges. *)
+  let slots = { payloads = [||]; count = 0 } in
+  let slot_tx = Array.make (max 1 n) 0 in
+  (* Trace capture is allocated only when a tap is installed.  [slot_fp]
+     memoizes the payload hash per slot; receivers reuse it. *)
+  let traced = Option.is_some tap in
+  let tap_fp = match tap with None -> [||] | Some _ -> Array.make n 0 in
+  let slot_fp = match tap with None -> [||] | Some _ -> Array.make (max 1 n) 0 in
+  let tile_make t_id =
+    let m = members.(t_id) in
+    let len = Array.length m in
+    let size = max 1 len in
+    {
+      t_id;
+      members = m;
+      cal = Calendar.create ~capacity:(2 * (len + 1)) ();
+      stamp = Array.make size (-1);
+      pre = 0;
+      pre_next = 0;
+      t_pending = Array.fold_left (fun c i -> if waiters.(i) then c + 1 else c) 0 m;
+      completed = Array.make size false;
+      sum_power = Array.make size 0.0;
+      n_decodable = Array.make size 0;
+      best_power = Array.make size 0.0;
+      best_slot = Array.make size 0;
+      obs_packed = Array.make size 0;
+      has_rx = Array.make size false;
+      touched = Array.make size 0;
+      n_touched = 0;
+      tx_ids = (if sharded then Array.make size 0 else slot_tx);
+      txs = (if sharded then { payloads = [||]; count = 0 } else slots);
+      halo = Bitvec.create (if sharded then n else 0) false;
+      polled = Array.make (if traced then len else 0) 0;
+      n_polled = 0;
+    }
+  in
+  let tile_arr = Array.init tiles tile_make in
+  (* Per-(transmitter, tile) segments of the CSR rows, sharded only: a
+     tile walks just the slice of each row that lands in it, in the
+     original within-row order, via the [seg_orig] indirection into
+     out_rcv/out_pow.  [lost] holds the round's loss outcomes, indexed
+     like the CSR links and written only by the coordinator. *)
+  let links_total = out_off.(n) in
+  let seg_off = Array.make (if sharded then (n * tiles) + 1 else 0) 0 in
+  let seg_orig = Array.make (if sharded then max 1 links_total else 0) 0 in
+  if sharded then begin
+    for i = 0 to n - 1 do
+      for k = out_off.(i) to out_off.(i + 1) - 1 do
+        let cell = (i * tiles) + tile_of.(out_rcv.(k)) in
+        seg_off.(cell + 1) <- seg_off.(cell + 1) + 1
+      done
+    done;
+    for c = 1 to n * tiles do
+      seg_off.(c) <- seg_off.(c) + seg_off.(c - 1)
+    done;
+    let cursor = Array.sub seg_off 0 (n * tiles) in
+    for i = 0 to n - 1 do
+      for k = out_off.(i) to out_off.(i + 1) - 1 do
+        let cell = (i * tiles) + tile_of.(out_rcv.(k)) in
+        seg_orig.(cursor.(cell)) <- k;
+        cursor.(cell) <- cursor.(cell) + 1
+      done
+    done
+  end;
+  let lost = Bytes.make (if sharded && lossy then max 1 links_total else 0) '\000' in
+  (* --- per-round phases, shared by the serial and sharded drivers ------ *)
+  let[@inline] stamp_for t li q =
+    if t.stamp.(li) <> q then begin
+      t.stamp.(li) <- q;
+      t.pre_next <- t.pre_next + 1
+    end
+  in
+  (* Wakeup of machine li for rounds [>= q]; [q] is the round about to be
+     processed next, so a same-round wakeup is a stamp, not a heap entry. *)
+  let[@inline] schedule t li q =
+    let na = machines.(t.members.(li)).next_active q in
+    let na = if na < q then q else na in
+    if na < cap then if na = q then stamp_for t li q else Calendar.add t.cal na li
+  in
+  let[@inline] check_complete t li r =
+    if not t.completed.(li) then begin
+      let i = t.members.(li) in
+      match machines.(i).delivered () with
+      | Some _ ->
+        t.completed.(li) <- true;
+        completion_round.(i) <- r;
+        if waiters.(i) then t.t_pending <- t.t_pending - 1
+      | None -> ()
+    end
+  in
+  (* Phase A: drain this round's wakeups and poll the scheduled machines in
+     ascending id, collecting their transmissions (no fan-out yet). *)
+  let phase_a t r =
+    while (not (Calendar.is_empty t.cal)) && Calendar.min_key t.cal = r do
+      t.stamp.(Calendar.pop_min t.cal) <- r
+    done;
+    t.txs.count <- 0;
+    let m = t.members and stamp = t.stamp in
+    for li = 0 to Array.length m - 1 do
+      if stamp.(li) = r then begin
+        let i = m.(li) in
+        match machines.(i).act r with
+        | Silent -> ()
+        | Transmit payload ->
+          broadcasts.(i) <- broadcasts.(i) + 1;
+          t.tx_ids.(t.txs.count) <- i;
+          slots_push t.txs (Array.length m) payload
+      end
+    done
+  in
+  (* The per-link aggregate update, written once for both fan-ins: link
+     [k] of slot [m] reaches local receiver [lr]; [dropped] is its loss
+     coin.  Inlined, so the link loops below pay no call per link. *)
+  let[@inline] add_link t lr k m dropped =
+    let power = out_pow.(k) in
+    if not t.has_rx.(lr) then begin
+      t.has_rx.(lr) <- true;
+      t.touched.(t.n_touched) <- lr;
+      t.n_touched <- t.n_touched + 1
+    end;
+    t.sum_power.(lr) <- t.sum_power.(lr) +. power;
+    if power >= 1.0 && not dropped then begin
+      t.n_decodable.(lr) <- t.n_decodable.(lr) + 1;
+      if power > t.best_power.(lr) then begin
+        t.best_power.(lr) <- power;
+        t.best_slot.(lr) <- m
+      end
+    end
+  in
+  (* Slot [m]'s links into tile [t], in within-row order, so per-receiver
+     sums, capture ties and loss draws match bit for bit whichever driver
+     runs.  The serial tile walks the transmitter's CSR row directly and
+     draws loss inline; a shard walks its own segment of the row and reads
+     the coordinator's loss coins. *)
+  let fan_in t m =
+    let i = slot_tx.(m) in
+    if sharded then begin
+      let cell = (i * tiles) + t.t_id in
+      for s = seg_off.(cell) to seg_off.(cell + 1) - 1 do
+        let k = seg_orig.(s) in
+        add_link t local_ix.(out_rcv.(k)) k m (lossy && Bytes.get lost k <> '\000')
+      done
+    end
+    else if lossy then
+      for k = out_off.(i) to out_off.(i + 1) - 1 do
+        add_link t out_rcv.(k) k m (out_pow.(k) >= 1.0 && draw_loss ())
+      done
+    else
+      (* The ideal channel gets its own loop: with no coin-draw call in the
+         body, the loop state stays in registers. *)
+      for k = out_off.(i) to out_off.(i + 1) - 1 do
+        add_link t out_rcv.(k) k m false
+      done
+  in
+  (* Resolve the channel, then deliver observations to the polled machines
+     (scheduled, or reached by a transmission); everyone else observes the
+     silence their contract implies.  The one packed/boxed bridge. *)
+  let observe_sweep t r =
+    Channel.resolve_packed channel ~touched:t.touched ~n_touched:t.n_touched
+      ~sum_power:t.sum_power ~n_decodable:t.n_decodable ~best_power:t.best_power
+      ~best_slot:t.best_slot ~out:t.obs_packed;
+    let m = t.members and stamp = t.stamp and has_rx = t.has_rx in
+    for li = 0 to Array.length m - 1 do
+      if stamp.(li) = r || has_rx.(li) then begin
+        let i = m.(li) in
+        let p = t.obs_packed.(li) in
+        if traced then begin
+          tap_fp.(i) <- fingerprint_packed slot_fp p;
+          t.polled.(t.n_polled) <- i;
+          t.n_polled <- t.n_polled + 1
+        end;
+        match machines.(i).observe_packed with
+        | Some f -> f r p slots
+        | None -> machines.(i).observe r (observation_of_packed slots p)
+      end
+    done
+  in
+  (* Completion and rescheduling over the polled set (every machine in
+     round 0, for construction-time deliveries), while [has_rx] still
+     marks the receivers.  A poll can change any machine state, so the
+     wakeup is re-asked after every poll.  Then the channel scratch is
+     cleared and next round's stamps become current. *)
+  let complete_sweep t r =
+    let stamp = t.stamp and has_rx = t.has_rx in
+    for li = 0 to Array.length t.members - 1 do
+      if stamp.(li) = r || has_rx.(li) then begin
+        check_complete t li r;
+        schedule t li (r + 1)
+      end
+      else if r = 0 then check_complete t li 0
+    done;
+    for k = 0 to t.n_touched - 1 do
+      let lr = t.touched.(k) in
+      t.sum_power.(lr) <- 0.0;
+      t.n_decodable.(lr) <- 0;
+      t.best_power.(lr) <- 0.0;
+      t.best_slot.(lr) <- 0;
+      t.obs_packed.(lr) <- 0;
+      has_rx.(lr) <- false
+    done;
+    t.n_touched <- 0;
+    t.pre <- t.pre_next;
+    t.pre_next <- 0
+  in
+  (* Phase B of a tile: everything after the transmissions are known. *)
+  let phase_b t r =
+    if sharded then
+      (* Fan-in over the slots named by this tile's halo words, slot bits
+         ascending (= merged transmitters ascending).  Words the round
+         never touched are skipped and stay zero; touched words are
+         cleared on the way out. *)
+      for wi = 0 to Bitvec.word_count t.halo - 1 do
+        let word = Bitvec.word t.halo wi in
+        if word <> 0 then begin
+          let base = wi * Bitvec.bits_per_word in
+          for b = 0 to Bitvec.bits_per_word - 1 do
+            if (word lsr b) land 1 = 1 then fan_in t (base + b)
+          done;
+          Bitvec.set_range t.halo ~pos:base ~len:(min Bitvec.bits_per_word (n - base)) false
+        end
+      done
+    else
+      for m = 0 to slots.count - 1 do
+        if traced then slot_fp.(m) <- fingerprint_payload slots.payloads.(m);
+        fan_in t m
+      done;
+    observe_sweep t r;
+    complete_sweep t r
+  in
+  (* The serial round: one tile, fan-out straight from phase A's slots. *)
+  let process_round t r =
+    phase_a t r;
+    phase_b t r
+  in
+  (* Initial scheduling, tile by tile in member order.  Round 0 always
+     executes (construction-time deliveries: sources, liars), so machine 0
+     is force-stamped in whichever tile owns it. *)
+  Array.iter
+    (fun t ->
+      for li = 0 to Array.length t.members - 1 do
+        schedule t li 0
+      done)
+    tile_arr;
+  if cap > 0 && n > 0 then stamp_for tile_arr.(if sharded then tile_of.(0) else 0) local_ix.(0) 0;
+  Array.iter
+    (fun t ->
+      t.pre <- t.pre_next;
+      t.pre_next <- 0)
+    tile_arr;
+  (* --- the driver ------------------------------------------------------ *)
+  let pending = ref (Array.fold_left (fun c t -> c + t.t_pending) 0 tile_arr) in
   let round = ref 0 in
-  (* Stop machinery shared by the sparse and sharded loops (the dense
-     reference keeps its own simple counter).  [check_stop r] is the dense
-     loop's [stopped] at the top of round r, with its idle counter
-     reconstructed as r - 1 - last_tx (consecutive silent rounds ending at
-     r - 1), and the same short-circuit order. *)
+  (* [check_stop r] is "should the run stop at the top of round r": the
+     idle counter is reconstructed as r - 1 - last_tx (consecutive silent
+     rounds ending at r - 1), so skipped rounds count without being
+     executed. *)
   let last_tx = ref (-1) in
-  (* Rounds with at least one transmission.  All three loops detect that
-     condition already (for the idle cut-off), so the count is
-     mode-independent; it is the denominator of the words/active-round
-     allocation gate. *)
+  (* Rounds with at least one transmission: mode-independent, and the
+     denominator of the words/active-round allocation gate. *)
   let active_rounds = ref 0 in
   let idle_limit = match idle_stop with Some k -> k | None -> max_int in
   let has_idle_stop = idle_stop <> None in
@@ -142,7 +454,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
   let stopping = ref false in
   let silent_digest r = { round = r; transmitters = []; observations = Array.make n 0 } in
   (* Skip the all-silent rounds in [!round, target) in O(1) per stride
-     check, stopping where the dense loop would have. *)
+     check, stopping where a round-by-round loop would have. *)
   let advance_silent target =
     if !pending = 0 then stopping := true
     else begin
@@ -154,7 +466,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
       (match stop_when with
       | Some f ->
         (* stop_when is stateful (progress counters): call it at every
-           stride multiple the dense loop would have, in order. *)
+           stride multiple a round-by-round loop would have, in order. *)
         let r = ref ((!round + stop_stride - 1) / stop_stride * stop_stride) in
         let checking = ref true in
         while !checking && !r < bound do
@@ -175,316 +487,83 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
       if !stop_round < target then stopping := true
     end
   in
-  let run_serial (mode : [ `Dense | `Sparse ]) =
-    (* Flat per-receiver channel aggregates instead of transmission lists:
-       resolution only needs the sensed power sum, the strongest decodable
-       signal, and the signal counts, so the hot loop allocates nothing.
-       [Channel.resolve_packed] turns the aggregates into packed codes;
-       equivalence with the reference [Channel.resolve] is covered by a
-       property test. *)
-    let sum_power = Array.make n 0.0 in
-    let n_decodable = Array.make n 0 in
-    let best_power = Array.make n 0.0 in
-    let best_slot = Array.make n 0 in
-    let obs_packed = Array.make n 0 in
-    let has_rx = Array.make n false in
-    (* The receivers touched this round, as a preallocated stack: Phase 1
-       pushes each receiver at most once (guarded by [has_rx]), the
-       after-round reset pops them all. *)
-    let touched = Array.make (max 1 n) 0 in
-    let n_touched = ref 0 in
-    let slots = { payloads = [||]; count = 0 } in
-    (* Trace capture is allocated only when a tap is installed, so the hot
-       path of untraced runs is untouched.  [slot_fp] memoizes the payload
-       hash per transmission slot; receivers reuse it instead of re-hashing
-       per observation. *)
-    let tap_fp = match tap with None -> [||] | Some _ -> Array.make n 0 in
-    let slot_fp = match tap with None -> [||] | Some _ -> Array.make (max 1 n) 0 in
-    let polled = match tap with None -> [||] | Some _ -> Array.make (max 1 n) 0 in
-    let n_polled = ref 0 in
-    (* Transmitter ids per slot, mirrored out of [slots] so the trace
-       record can be built outside the hot functions without a per-round
-       cons list. *)
-    let tap_tx = match tap with None -> [||] | Some _ -> Array.make (max 1 n) 0 in
-    let fan_out i payload =
-      broadcasts.(i) <- broadcasts.(i) + 1;
-      let slot = slots.count in
-      if tap <> None then begin
-        tap_tx.(slot) <- i;
-        slot_fp.(slot) <- fingerprint_payload payload
-      end;
-      slots_push slots n payload;
-      for k = out_off.(i) to out_off.(i + 1) - 1 do
-        let receiver = out_rcv.(k) and power = out_pow.(k) in
-        if not has_rx.(receiver) then begin
-          has_rx.(receiver) <- true;
-          touched.(!n_touched) <- receiver;
-          incr n_touched
-        end;
-        sum_power.(receiver) <- sum_power.(receiver) +. power;
-        let lost =
-          power >= 1.0 && loss > 0.0
-          &&
-          match rng with
-          | Some r -> Rng.bernoulli r loss
-          | None -> invalid_arg "Engine.run: loss_prob > 0 requires an rng"
-        in
-        if power >= 1.0 && not lost then begin
-          n_decodable.(receiver) <- n_decodable.(receiver) + 1;
-          if power > best_power.(receiver) then begin
-            best_power.(receiver) <- power;
-            best_slot.(receiver) <- slot
-          end
-        end
-      done
-    in
-    let reset_touched () =
-      for k = 0 to !n_touched - 1 do
-        let i = touched.(k) in
-        sum_power.(i) <- 0.0;
-        n_decodable.(i) <- 0;
-        best_power.(i) <- 0.0;
-        best_slot.(i) <- 0;
-        obs_packed.(i) <- 0;
-        has_rx.(i) <- false
-      done;
-      n_touched := 0;
-      slots.count <- 0
-    in
-    match mode with
-    | `Dense ->
-      (* Reference implementation: every machine polled every round. *)
-      let idle_rounds = ref 0 in
-      let stopped () =
-        !pending = 0
-        || (match idle_stop with Some k -> !idle_rounds >= k | None -> false)
-        ||
-        match stop_when with
-        | Some f when !round mod stop_stride = 0 -> f ()
-        | Some _ | None -> false
-      in
-      (* Nodes still being polled for completion; completed ones are
-         swap-removed so Phase 3 stops scanning them every round. *)
-      let active = Array.init n (fun i -> i) in
-      let n_active = ref n in
-      while (not (stopped ())) && !round < cap do
-        let r = !round in
-        (* Phase 1: collect actions and fan transmissions out to receivers. *)
-        for i = 0 to n - 1 do
-          match machines.(i).act r with
-          | Silent -> ()
-          | Transmit payload -> fan_out i payload
-        done;
-        let anyone_transmitted = slots.count > 0 in
-        (* Phase 2: resolve the channel at every node and deliver observations. *)
-        Channel.resolve_packed channel ~touched ~n_touched:!n_touched ~sum_power ~n_decodable
-          ~best_power ~best_slot ~out:obs_packed;
-        for i = 0 to n - 1 do
-          let p = obs_packed.(i) in
-          if tap <> None then tap_fp.(i) <- fingerprint_packed slot_fp p;
-          match machines.(i).observe_packed with
-          | Some f -> f r p slots
-          | None -> machines.(i).observe r (observation_of_packed slots p)
-        done;
-        begin
-          match tap with
-          | None -> ()
-          | Some f ->
-            f
-              {
-                round = r;
-                transmitters = List.init slots.count (fun m -> tap_tx.(m));
-                observations = Array.copy tap_fp;
-              }
-        end;
-        reset_touched ();
-        (* Phase 3: completion bookkeeping over the not-yet-complete worklist. *)
-        let k = ref 0 in
-        while !k < !n_active do
-          let i = active.(!k) in
-          match machines.(i).delivered () with
-          | Some _ ->
-            completion_round.(i) <- r;
-            if waiters.(i) then decr pending;
-            decr n_active;
-            active.(!k) <- active.(!n_active)
-          | None -> incr k
-        done;
-        if anyone_transmitted then begin
-          idle_rounds := 0;
-          incr active_rounds
-        end
-        else incr idle_rounds;
-        incr round
-      done
-    | `Sparse ->
-      (* Wakeup-driven loop.  Invariants tying it to the dense reference:
-         - a machine is polled (act + observe) at round r iff its wakeup
-           contract covers r or a transmission reached it; the contract
-           promises that in all other rounds act returns Silent without
-           side effects and observe of the implied Silence is a no-op;
-         - scheduled machines are processed in ascending id, like the dense
-           0..n-1 sweep, so loss draws, capture ties and tap transmitter
-           order are identical;
-         - the stop conditions (waiters, idle cut-off, strided stop_when)
-           are evaluated for skipped rounds exactly as the dense loop would
-           have, including the call count of the stateful stop_when;
-         - a tap sees one digest per round, skipped rounds fingerprinting
-           as uniform silence. *)
-      let cal = Calendar.create ~capacity:(2 * (n + 1)) () in
-      let sched_stamp = Array.make (max 1 n) (-1) in
-      (* Machines stamped directly for the very next round, bypassing the
-         heap.  Inside a relevant TDMA interval a machine wakes six rounds
-         in a row; paying a pop + push per poll would cost more than the
-         act/observe calls the sparse loop saves, so only wakeups that
-         actually jump ahead go through the calendar. *)
-      let pre = ref 0 in
-      let pre_next = ref 0 in
-      let schedule_machine i q =
-        let na = machines.(i).next_active q in
-        let na = if na < q then q else na in
-        if na < cap then begin
-          if na = q then begin
-            (* [q] is always the round after the one being processed, so a
-               same-round wakeup is a stamp for the next iteration. *)
-            if sched_stamp.(i) <> q then begin
-              sched_stamp.(i) <- q;
-              incr pre_next
-            end
-          end
-          else Calendar.add cal na i
-        end
-      in
-      for i = 0 to n - 1 do
-        let na = machines.(i).next_active 0 in
-        if na <= 0 then begin
-          if sched_stamp.(i) <> 0 then begin
-            sched_stamp.(i) <- 0;
-            incr pre_next
-          end
-        end
-        else if na < cap then Calendar.add cal na i
-      done;
-      (* Round 0 always executes: the dense loop's first Phase 3 scans all
-         machines, recording construction-time deliveries (sources, liars). *)
-      if cap > 0 && n > 0 && sched_stamp.(0) <> 0 then begin
-        sched_stamp.(0) <- 0;
-        incr pre_next
-      end;
-      pre := !pre_next;
-      pre_next := 0;
-      let completed = Array.make (max 1 n) false in
-      let check_complete i r =
-        if not completed.(i) then begin
-          match machines.(i).delivered () with
-          | Some _ ->
-            completed.(i) <- true;
-            completion_round.(i) <- r;
-            if waiters.(i) then decr pending
-          | None -> ()
-        end
-      in
-      let process_round r =
-        (* Drain this round's wakeups; the stamp array both dedupes multiple
-           calendar entries per machine and drives the ascending-id sweeps
-           below. *)
-        while (not (Calendar.is_empty cal)) && Calendar.min_key cal = r do
-          sched_stamp.(Calendar.pop_min cal) <- r
-        done;
-        (* Phase 1 over the scheduled machines only. *)
-        for i = 0 to n - 1 do
-          if sched_stamp.(i) = r then begin
-            match machines.(i).act r with
-            | Silent -> ()
-            | Transmit payload -> fan_out i payload
-          end
-        done;
-        let any_tx = slots.count > 0 in
-        (* Phase 2 restricted to scheduled machines and touched receivers;
-           everyone else observes the silence implied by the contract. *)
-        Channel.resolve_packed channel ~touched ~n_touched:!n_touched ~sum_power ~n_decodable
-          ~best_power ~best_slot ~out:obs_packed;
-        for i = 0 to n - 1 do
-          if sched_stamp.(i) = r || has_rx.(i) then begin
-            let p = obs_packed.(i) in
-            if tap <> None then begin
-              tap_fp.(i) <- fingerprint_packed slot_fp p;
-              polled.(!n_polled) <- i;
-              incr n_polled
-            end;
-            match machines.(i).observe_packed with
-            | Some f -> f r p slots
-            | None -> machines.(i).observe r (observation_of_packed slots p)
-          end
-        done;
-        (* Phase 3 + rescheduling over the polled set (all machines in round
-           0, for construction-time deliveries), before the channel scratch
-           is cleared so [has_rx] still marks the touched receivers.  A poll
-           can change any machine state, so its wakeup is re-asked after
-           every poll — e.g. an epidemic relay that just received the packet
-           now wants its own slot. *)
-        for i = 0 to n - 1 do
-          if sched_stamp.(i) = r || has_rx.(i) then begin
-            check_complete i r;
-            schedule_machine i (r + 1)
-          end
-          else if r = 0 then check_complete i 0
-        done;
-        if any_tx then begin
-          last_tx := r;
-          incr active_rounds
-        end;
-        pre := !pre_next;
-        pre_next := 0
-      in
-      while (not !stopping) && !round < cap do
-        let target =
-          if !pre > 0 then !round
-          else if Calendar.is_empty cal then cap
-          else min cap (Calendar.min_key cal)
-        in
-        if target > !round then advance_silent target;
-        if (not !stopping) && !round < cap && !round = target then begin
-          if check_stop !round then stopping := true
-          else begin
-            process_round !round;
-            (* Tap emission and channel-scratch reset live out here, off
-               the per-round hot path of untraced runs; the polled stack
-               restores the all-silent background the skipped-round
-               digests rely on. *)
-            (match tap with
-            | None -> ()
-            | Some f ->
-              f
-                {
-                  round = !round;
-                  transmitters = List.init slots.count (fun m -> tap_tx.(m));
-                  observations = Array.copy tap_fp;
-                };
-              for j = 0 to !n_polled - 1 do
-                tap_fp.(polled.(j)) <- 0
-              done;
-              n_polled := 0);
-            reset_touched ();
-            incr round
-          end
-        end
-      done
+  let next_target () =
+    let pre = ref 0 and target = ref cap in
+    for p = 0 to tiles - 1 do
+      let t = tile_arr.(p) in
+      pre := !pre + t.pre;
+      if not (Calendar.is_empty t.cal) then target := min !target (Calendar.min_key t.cal)
+    done;
+    if !pre > 0 then !round else !target
   in
-  (* The sharded loop is the sparse loop cut into [tiles] disjoint slices
-     of machines, one domain each, synchronized by a 4-barrier round:
+  (* After a round: the tap digest (the polled stacks restore the
+     all-silent background the skipped-round digests rely on), then the
+     stop bookkeeping. *)
+  let end_round r =
+    (match tap with
+    | None -> ()
+    | Some f ->
+      f
+        {
+          round = r;
+          transmitters = List.init slots.count (fun m -> slot_tx.(m));
+          observations = Array.copy tap_fp;
+        };
+      for p = 0 to tiles - 1 do
+        let t = tile_arr.(p) in
+        for j = 0 to t.n_polled - 1 do
+          tap_fp.(t.polled.(j)) <- 0
+        done;
+        t.n_polled <- 0
+      done);
+    if slots.count > 0 then begin
+      last_tx := r;
+      incr active_rounds
+    end;
+    let p = ref 0 in
+    for q = 0 to tiles - 1 do
+      p := !p + tile_arr.(q).t_pending
+    done;
+    pending := !p
+  in
+  (* Wakeup-driven loop.  Invariants tying it to a round-by-round loop
+     polling every machine (the [`Dense] reference):
+     - a machine is polled (act + observe) at round r iff its wakeup
+       contract covers r or a transmission reached it; the contract
+       promises that in all other rounds act returns Silent without side
+       effects and observe of the implied Silence is a no-op;
+     - machines are processed in ascending id, so loss draws, capture ties
+       and tap transmitter order are identical;
+     - the stop conditions (waiters, idle cut-off, strided stop_when) are
+       evaluated for skipped rounds exactly as if they had run, including
+       the call count of the stateful stop_when;
+     - a tap sees one digest per round, skipped rounds fingerprinting as
+       uniform silence. *)
+  let drive step =
+    while (not !stopping) && !round < cap do
+      let target = next_target () in
+      if target > !round then advance_silent target;
+      if (not !stopping) && !round < cap && !round = target then begin
+        if check_stop !round then stopping := true
+        else begin
+          step !round;
+          end_round !round;
+          incr round
+        end
+      end
+    done
+  in
+  (* The sharded driver runs the same phases on [tiles] domains,
+     synchronized by a 4-barrier round:
 
        B0  coordinator publishes the round number (or the stop command)
-       A   every tile polls its scheduled machines and collects their
-           transmissions, in ascending id (no fan-out yet)
+       A   every tile runs phase A
        B1  all transmissions collected
-           coordinator merges them into the global slots buffer, marks each
+           coordinator merges them into the global slots, marks each
            tile's halo words, and draws the per-link loss coins in exactly
            the serial sequence
        B2  merged slots + halo words + loss outcomes published
-       B   every tile fans the slots named by its own halo words into its
-           receivers (ascending slot order, original within-row link
-           order), resolves, observes, completes and reschedules
+       B   every tile runs phase B over the slots its halo words name
        B3  round effects done; coordinator emits the tap digest, sums
            pending, and decides stop / skip / next round
 
@@ -494,146 +573,14 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
      the serial sweep; and machines are only ever touched by their owning
      tile, in ascending id within the tile.  Cross-tile visibility is by
      barrier only: tiles write before a barrier what others read after it. *)
-  let run_sharded tiles tile_of =
-    let counts = Array.make tiles 0 in
-    for i = 0 to n - 1 do
-      counts.(tile_of.(i)) <- counts.(tile_of.(i)) + 1
-    done;
-    let local_ix = Array.make n 0 in
-    let fill = Array.make tiles 0 in
-    let members = Array.init tiles (fun t -> Array.make counts.(t) 0) in
-    for i = 0 to n - 1 do
-      let t = tile_of.(i) in
-      members.(t).(fill.(t)) <- i;
-      local_ix.(i) <- fill.(t);
-      fill.(t) <- fill.(t) + 1
-    done;
-    (* Per-(transmitter, tile) segments of the CSR rows: phase B walks only
-       the slice of each row that lands in its own tile, in the original
-       within-row order (receivers descending), via the [seg_orig]
-       indirection into out_rcv/out_pow.  Without this every tile would
-       rescan every full row. *)
-    let links_total = out_off.(n) in
-    let seg_off = Array.make ((n * tiles) + 1) 0 in
-    for i = 0 to n - 1 do
-      for k = out_off.(i) to out_off.(i + 1) - 1 do
-        let cell = (i * tiles) + tile_of.(out_rcv.(k)) in
-        seg_off.(cell + 1) <- seg_off.(cell + 1) + 1
-      done
-    done;
-    for c = 1 to n * tiles do
-      seg_off.(c) <- seg_off.(c) + seg_off.(c - 1)
-    done;
-    let seg_orig = Array.make (max 1 links_total) 0 in
-    let cursor = Array.init (n * tiles) (fun c -> seg_off.(c)) in
-    for i = 0 to n - 1 do
-      for k = out_off.(i) to out_off.(i + 1) - 1 do
-        let cell = (i * tiles) + tile_of.(out_rcv.(k)) in
-        seg_orig.(cursor.(cell)) <- k;
-        cursor.(cell) <- cursor.(cell) + 1
-      done
-    done;
-    (* Loss outcomes for the current round, indexed like the CSR links;
-       written only by the coordinator between B1 and B2. *)
-    let lost = if loss > 0.0 then Bytes.make (max 1 links_total) '\000' else Bytes.empty in
-    let tile_make t_id =
-      let m = members.(t_id) in
-      let len = Array.length m in
-      let t_pending = ref 0 in
-      Array.iter (fun i -> if waiters.(i) then incr t_pending) m;
-      {
-        t_id;
-        members = m;
-        cal = Calendar.create ~capacity:(2 * (len + 1)) ();
-        stamp = Array.make (max 1 len) (-1);
-        pre = 0;
-        pre_next = 0;
-        t_pending = !t_pending;
-        completed = Array.make (max 1 len) false;
-        sum_power = Array.make (max 1 len) 0.0;
-        n_decodable = Array.make (max 1 len) 0;
-        best_power = Array.make (max 1 len) 0.0;
-        best_slot = Array.make (max 1 len) 0;
-        obs_packed = Array.make (max 1 len) 0;
-        has_rx = Array.make (max 1 len) false;
-        touched = Array.make (max 1 len) 0;
-        n_touched = 0;
-        tx_ids = Array.make (max 1 len) 0;
-        txs = { payloads = [||]; count = 0 };
-        halo = Bitvec.create n false;
-        polled = Array.make (if tap = None then 0 else len) 0;
-        n_polled = 0;
-      }
-    in
-    let tile_arr = Array.init tiles tile_make in
-    (* Initial scheduling, tile by tile: the serial init in member order. *)
-    Array.iter
-      (fun t ->
-        Array.iteri
-          (fun li i ->
-            let na = machines.(i).next_active 0 in
-            if na <= 0 then begin
-              if t.stamp.(li) <> 0 then begin
-                t.stamp.(li) <- 0;
-                t.pre_next <- t.pre_next + 1
-              end
-            end
-            else if na < cap then Calendar.add t.cal na li)
-          t.members)
-      tile_arr;
-    (* Round 0 always executes (construction-time deliveries): force-stamp
-       machine 0 in whichever tile owns it, like the serial loop does. *)
-    if cap > 0 && n > 0 then begin
-      let t = tile_arr.(tile_of.(0)) in
-      let li = local_ix.(0) in
-      if t.stamp.(li) <> 0 then begin
-        t.stamp.(li) <- 0;
-        t.pre_next <- t.pre_next + 1
-      end
-    end;
-    Array.iter
-      (fun t ->
-        t.pre <- t.pre_next;
-        t.pre_next <- 0)
-      tile_arr;
-    (* Merged transmissions of the current round, globally ascending;
-       written by the coordinator between B1 and B2.  [slots.count] is the
-       merged count. *)
-    let mtx_ids = Array.make (max 1 n) 0 in
-    let slots = { payloads = [||]; count = 0 } in
+  let run_sharded () =
     let merge_cursor = Array.make tiles 0 in
     (* Merge scratch, in place of per-call refs: [0] candidate tile, [1]
        candidate id, [2] loop flag. *)
     let merge_scratch = Array.make 3 0 in
-    let tap_fp = match tap with None -> [||] | Some _ -> Array.make n 0 in
-    let slot_fp = match tap with None -> [||] | Some _ -> Array.make (max 1 n) 0 in
-    (* The round command, published by barrier B0: the round to process, or
-       -1 to shut the team down. *)
-    let cmd = ref 0 in
-    let team = Shard.Team.create ~tiles in
-    let phase_a t r =
-      while (not (Calendar.is_empty t.cal)) && Calendar.min_key t.cal = r do
-        t.stamp.(Calendar.pop_min t.cal) <- r
-      done;
-      t.txs.count <- 0;
-      let m = t.members in
-      for li = 0 to Array.length m - 1 do
-        if t.stamp.(li) = r then begin
-          let i = m.(li) in
-          match machines.(i).act r with
-          | Silent -> ()
-          | Transmit payload ->
-            broadcasts.(i) <- broadcasts.(i) + 1;
-            t.tx_ids.(t.txs.count) <- i;
-            slots_push t.txs (Array.length m) payload
-        end
-      done
-    in
     let merge_and_draw () =
       (* Tiles partition the ids and each tile's list is ascending, so a
-         cursor merge yields the global ascending transmitter order the
-         serial Phase-1 sweep produces.  Each merged slot also marks the
-         halo word bit of every tile its CSR row reaches. *)
+         cursor merge yields the global ascending transmitter order. *)
       slots.count <- 0;
       Array.fill merge_cursor 0 tiles 0;
       merge_scratch.(2) <- 1;
@@ -655,9 +602,9 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
           let c = merge_cursor.(merge_scratch.(0)) in
           let i = merge_scratch.(1) in
           let slot = slots.count in
-          mtx_ids.(slot) <- i;
+          slot_tx.(slot) <- i;
           let payload = t.txs.payloads.(c) in
-          if tap <> None then slot_fp.(slot) <- fingerprint_payload payload;
+          if traced then slot_fp.(slot) <- fingerprint_payload payload;
           slots_push slots n payload;
           for td = 0 to tiles - 1 do
             let cell = (i * tiles) + td in
@@ -666,228 +613,59 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
           merge_cursor.(merge_scratch.(0)) <- c + 1
         end
       done;
-      (* Per-link loss coins, drawn serially here in exactly the order the
-         serial fan-out consumes them: transmitters ascending, links in
-         within-row order, decodable links only. *)
-      if loss > 0.0 then
+      (* Per-link loss coins in exactly the order the serial fan-in draws
+         them: transmitters ascending, links in within-row order, decodable
+         links only. *)
+      if lossy then
         for m = 0 to slots.count - 1 do
-          let i = mtx_ids.(m) in
+          let i = slot_tx.(m) in
           for k = out_off.(i) to out_off.(i + 1) - 1 do
-            if out_pow.(k) >= 1.0 then begin
-              let l =
-                match rng with
-                | Some r -> Rng.bernoulli r loss
-                | None -> invalid_arg "Engine.run: loss_prob > 0 requires an rng"
-              in
-              Bytes.set lost k (if l then '\001' else '\000')
-            end
+            if out_pow.(k) >= 1.0 then Bytes.set lost k (if draw_loss () then '\001' else '\000')
           done
         done
     in
-    let check_complete t li r =
-      if not t.completed.(li) then begin
-        match machines.(t.members.(li)).delivered () with
-        | Some _ ->
-          t.completed.(li) <- true;
-          completion_round.(t.members.(li)) <- r;
-          if waiters.(t.members.(li)) then t.t_pending <- t.t_pending - 1
-        | None -> ()
-      end
-    in
-    let schedule_tile t li q =
-      let na = machines.(t.members.(li)).next_active q in
-      let na = if na < q then q else na in
-      if na < cap then begin
-        if na = q then begin
-          if t.stamp.(li) <> q then begin
-            t.stamp.(li) <- q;
-            t.pre_next <- t.pre_next + 1
-          end
-        end
-        else Calendar.add t.cal na li
-      end
-    in
-    let phase_b t r =
-      (* Fan-in over the slots named by this tile's halo words: slot bits
-         ascending (= merged transmitters ascending), each row's in-tile
-         slice in original order, so per-receiver sums, capture ties and
-         loss lookups match the serial fan-out bit for bit.  Words the
-         round never touched are skipped and stay zero; touched words are
-         cleared on the way out. *)
-      for wi = 0 to Bitvec.word_count t.halo - 1 do
-        let word = Bitvec.word t.halo wi in
-        if word <> 0 then begin
-          let base = wi * Bitvec.bits_per_word in
-          for b = 0 to Bitvec.bits_per_word - 1 do
-            if (word lsr b) land 1 = 1 then begin
-              let m = base + b in
-              let i = mtx_ids.(m) in
-              let cell = (i * tiles) + t.t_id in
-              for s = seg_off.(cell) to seg_off.(cell + 1) - 1 do
-                let k = seg_orig.(s) in
-                let power = out_pow.(k) in
-                let lr = local_ix.(out_rcv.(k)) in
-                if not t.has_rx.(lr) then begin
-                  t.has_rx.(lr) <- true;
-                  t.touched.(t.n_touched) <- lr;
-                  t.n_touched <- t.n_touched + 1
-                end;
-                t.sum_power.(lr) <- t.sum_power.(lr) +. power;
-                let lost_link = power >= 1.0 && loss > 0.0 && Bytes.get lost k <> '\000' in
-                if power >= 1.0 && not lost_link then begin
-                  t.n_decodable.(lr) <- t.n_decodable.(lr) + 1;
-                  if power > t.best_power.(lr) then begin
-                    t.best_power.(lr) <- power;
-                    t.best_slot.(lr) <- m
-                  end
-                end
-              done
-            end
-          done;
-          Bitvec.set_range t.halo ~pos:base ~len:(min Bitvec.bits_per_word (n - base)) false
-        end
-      done;
-      Channel.resolve_packed channel ~touched:t.touched ~n_touched:t.n_touched
-        ~sum_power:t.sum_power ~n_decodable:t.n_decodable ~best_power:t.best_power
-        ~best_slot:t.best_slot ~out:t.obs_packed;
-      let m = t.members in
-      for li = 0 to Array.length m - 1 do
-        if t.stamp.(li) = r || t.has_rx.(li) then begin
-          let p = t.obs_packed.(li) in
-          if tap <> None then begin
-            tap_fp.(m.(li)) <- fingerprint_packed slot_fp p;
-            t.polled.(t.n_polled) <- m.(li);
-            t.n_polled <- t.n_polled + 1
-          end;
-          match machines.(m.(li)).observe_packed with
-          | Some f -> f r p slots
-          | None -> machines.(m.(li)).observe r (observation_of_packed slots p)
-        end
-      done;
-      for li = 0 to Array.length m - 1 do
-        if t.stamp.(li) = r || t.has_rx.(li) then begin
-          check_complete t li r;
-          schedule_tile t li (r + 1)
-        end
-        else if r = 0 then check_complete t li 0
-      done;
-      for k = 0 to t.n_touched - 1 do
-        let lr = t.touched.(k) in
-        t.sum_power.(lr) <- 0.0;
-        t.n_decodable.(lr) <- 0;
-        t.best_power.(lr) <- 0.0;
-        t.best_slot.(lr) <- 0;
-        t.obs_packed.(lr) <- 0;
-        t.has_rx.(lr) <- false
-      done;
-      t.n_touched <- 0;
-      t.pre <- t.pre_next;
-      t.pre_next <- 0
-    in
+    (* The round command, published by barrier B0: the round to process,
+       or -1 to shut the team down.  Each participant's phase closures are
+       built once and read the round from [cmd]. *)
+    let cmd = ref 0 in
+    let team = Shard.Team.create ~tiles in
+    let run_a t () = phase_a t !cmd and run_b t () = phase_b t !cmd in
     let worker p =
-      let t = tile_arr.(p) in
+      let a = run_a tile_arr.(p) and b = run_b tile_arr.(p) in
       let running = ref true in
       while !running do
         Shard.Team.await team;
-        let c = !cmd in
-        if c < 0 then running := false
+        if !cmd < 0 then running := false
         else begin
-          Shard.Team.guard team (fun () -> phase_a t c);
+          Shard.Team.guard team a;
           Shard.Team.await team;
           (* coordinator merges and draws losses *)
           Shard.Team.await team;
-          Shard.Team.guard team (fun () -> phase_b t c);
+          Shard.Team.guard team b;
           Shard.Team.await team
         end
       done
     in
-    let next_target () =
-      let pre_total = ref 0 in
-      Array.iter (fun t -> pre_total := !pre_total + t.pre) tile_arr;
-      if !pre_total > 0 then !round
-      else begin
-        let mn = ref cap in
-        Array.iter
-          (fun t -> if not (Calendar.is_empty t.cal) then mn := min !mn (Calendar.min_key t.cal))
-          tile_arr;
-        !mn
-      end
-    in
-    let emit_tap r =
-      match tap with
-      | None -> ()
-      | Some f ->
-        f
-          {
-            round = r;
-            transmitters = List.init slots.count (fun m -> mtx_ids.(m));
-            observations = Array.copy tap_fp;
-          };
-        Array.iter
-          (fun t ->
-            for j = 0 to t.n_polled - 1 do
-              tap_fp.(t.polled.(j)) <- 0
-            done;
-            t.n_polled <- 0)
-          tile_arr
+    let a = run_a tile_arr.(0) and b = run_b tile_arr.(0) in
+    let sharded_round r =
+      cmd := r;
+      Shard.Team.await team;
+      Shard.Team.guard team a;
+      Shard.Team.await team;
+      Shard.Team.guard team merge_and_draw;
+      Shard.Team.await team;
+      Shard.Team.guard team b;
+      Shard.Team.await team;
+      if Shard.Team.failed team then stopping := true
     in
     let main () =
-      let t0 = tile_arr.(0) in
-      while (not !stopping) && !round < cap do
-        let target = next_target () in
-        if target > !round then advance_silent target;
-        if (not !stopping) && !round < cap && !round = target then begin
-          if check_stop !round then stopping := true
-          else begin
-            let r = !round in
-            cmd := r;
-            Shard.Team.await team;
-            Shard.Team.guard team (fun () -> phase_a t0 r);
-            Shard.Team.await team;
-            Shard.Team.guard team merge_and_draw;
-            Shard.Team.await team;
-            Shard.Team.guard team (fun () -> phase_b t0 r);
-            Shard.Team.await team;
-            (* Post-round, workers parked at the next B0: gather per-tile
-               outcomes and run the serial-side bookkeeping. *)
-            emit_tap r;
-            let any = ref false in
-            let p = ref 0 in
-            Array.iter
-              (fun t ->
-                if t.txs.count > 0 then any := true;
-                p := !p + t.t_pending)
-              tile_arr;
-            if !any then begin
-              last_tx := r;
-              incr active_rounds
-            end;
-            pending := !p;
-            if Shard.Team.failed team then stopping := true;
-            incr round
-          end
-        end
-      done;
+      drive sharded_round;
       cmd := -1;
       Shard.Team.await team
     in
     Shard.Team.run team ~worker ~main
   in
-  (match mode with
-  | (`Dense | `Sparse) as m -> run_serial m
-  | `Sharded requested ->
-    let tiles = max 1 (min requested (max 1 n)) in
-    let tile_of =
-      match tile_of with
-      | Some a ->
-        if Array.length a <> n then invalid_arg "Engine.run: tile_of length mismatch";
-        Array.iter
-          (fun t -> if t < 0 || t >= tiles then invalid_arg "Engine.run: tile_of entry out of range")
-          a;
-        a
-      | None -> Shard.partition topology ~tiles
-    in
-    if tiles <= 1 then run_serial `Sparse else run_sharded tiles tile_of);
+  if sharded then run_sharded () else drive (process_round tile_arr.(0));
   {
     rounds_used = !round;
     active_rounds = !active_rounds;

@@ -9,13 +9,16 @@
     effects (capture, loss) the paper notes its analysis omits.
 
     Because the protocols are TDMA-scheduled, most machines are
-    deterministically silent in most rounds; the default [`Sparse] loop
-    exploits that with a calendar of machine wakeups (the discrete-event
-    trick WSNet itself uses), skipping idle rounds outright and polling
-    only the machines whose {!machine.next_active} contract — or an
-    incoming transmission — makes the round meaningful to them.  The
-    [`Dense] loop, which polls everything every round, is kept as the
-    executable reference; a property test pins the two byte-identical.
+    deterministically silent in most rounds; the engine exploits that with
+    a calendar of machine wakeups (the discrete-event trick WSNet itself
+    uses), skipping idle rounds outright and polling only the machines
+    whose {!machine.next_active} contract — or an incoming transmission —
+    makes the round meaningful to them.  There is one driver and one
+    per-round state (a tile): the serial loop runs one tile holding every
+    machine, the sharded loop several on their own domains.  [`Dense] is
+    the same loop with every contract replaced by {!always_active}: the
+    reference that checks the contracts, pinned byte-identical to the
+    others by the equivalence suite.
 
     The engine is polymorphic in the on-air payload type ['m]. *)
 
@@ -75,15 +78,16 @@ val silent_machine : 'm machine
 (** A machine that never transmits and never delivers (crashed device). *)
 
 type mode = [ `Dense | `Sparse | `Sharded of int ]
-(** [`Sparse] (the default): calendar-driven wakeup loop.  [`Dense]: the
-    reference loop polling all machines every round.  [`Sharded tiles]:
-    the sparse loop cut into [tiles] disjoint tiles of machines, one
-    domain each, exchanging boundary transmissions at a deterministic
-    per-round barrier (tile count clamped to the node count; 1 tile falls
-    back to [`Sparse]).  All three produce byte-identical results —
-    including tap traces — for machines honouring the
-    {!machine.next_active} contract; the mode is purely a performance
-    choice. *)
+(** [`Sparse] (the default): the calendar-driven wakeup loop.
+    [`Sharded tiles]: the same loop cut into [tiles] disjoint tiles of
+    machines, one domain each, exchanging boundary transmissions at a
+    deterministic per-round barrier (tile count clamped to the node count;
+    1 tile falls back to [`Sparse]).  [`Dense]: the contract-checking
+    reference — the sparse loop with every machine's [next_active]
+    replaced by {!always_active}, so every machine is polled every round.
+    All three produce byte-identical results — including tap traces — for
+    machines honouring the {!machine.next_active} contract; a machine that
+    breaks it shows up as a [`Dense]/[`Sparse] trace divergence. *)
 
 type result = {
   rounds_used : int;  (** rounds executed before stopping *)
@@ -121,7 +125,6 @@ val run :
   ?rng:Rng.t ->
   ?channel:Channel.params ->
   ?stop_when:(unit -> bool) ->
-  ?stop_stride:int ->
   ?idle_stop:int ->
   ?tap:(round_digest -> unit) ->
   ?tile_of:int array ->
@@ -132,12 +135,11 @@ val run :
   unit ->
   result
 (** Run until every node marked in [waiters] has delivered (or [stop_when]
-    returns true, polled every [stop_stride] rounds — default 96, chosen to
-    keep progress-based cut-offs off the per-round hot path), or until
-    [cap] rounds.
-    [mode] selects the loop implementation (default [`Sparse]); results
-    are identical, so the choice is purely a performance one, but pass it
-    explicitly — the source lint flags call sites that leave it implicit.
+    returns true, polled every 96 rounds to keep progress-based cut-offs
+    off the per-round hot path), or until [cap] rounds.
+    [mode] selects the loop (default [`Sparse]); results are identical,
+    but pass it explicitly — the source lint flags call sites that leave
+    it implicit.
     [tile_of], meaningful only with [`Sharded tiles], overrides the
     {!Shard.partition} tile assignment: one entry per node, each in
     [0 .. tiles - 1] (after clamping to the node count).  Any assignment

@@ -609,6 +609,35 @@ let test_alloc_unused_allowlist () =
        (Alloc_lint.lint_strings ~golden:(Some empty_golden)
           [ ("lib/analysis/other.ml", "let x = 1\n") ]))
 
+(* A renamed hot function must not drop out of the walk silently: a root
+   pattern naming no function is an error located in the root's module,
+   even when the golden inventory otherwise matches.  A root whose module
+   was not linted is not judged. *)
+let test_alloc_unknown_hot_root () =
+  let files = boxy_files () in
+  let golden =
+    Some (Alloc_lint.json_of_inventory (Alloc_lint.inventory_strings ~roots:boxy_roots files))
+  in
+  let roots =
+    [ ("boxy-round", [ "Boxy_hot_loop.process_round"; "Boxy_hot_loop.renamed_away" ]) ]
+  in
+  (match
+     List.filter
+       (fun d -> d.Alloc_lint.code = "unknown-hot-root")
+       (Alloc_lint.lint_strings ~roots ~golden files)
+   with
+  | [ d ] ->
+    Alcotest.(check bool) "it is an error" true (d.Alloc_lint.severity = Lint.Error);
+    Alcotest.(check string) "located in the root's module" "lib/sim/boxy_hot_loop.ml"
+      d.Alloc_lint.file;
+    Alcotest.(check bool) "names the bogus root" true
+      (contains ~affix:"Boxy_hot_loop.renamed_away" d.Alloc_lint.message)
+  | diags -> Alcotest.failf "expected one unknown-hot-root, got %d" (List.length diags));
+  Alcotest.(check (list string)) "roots of unlinted modules are not judged" []
+    (alloc_codes
+       (Alloc_lint.lint_strings ~roots ~golden:(Some empty_golden)
+          [ ("lib/analysis/other.ml", "let x = 1\n") ]))
+
 let test_alloc_parse_error () =
   match
     List.filter
@@ -649,7 +678,7 @@ let test_golden_codes () =
     "alloc lint codes"
     [
       "new-alloc-class"; "alloc-count-growth"; "alloc-count-shrink"; "baseline-missing";
-      "unused-allowlist"; "parse-error";
+      "unused-allowlist"; "parse-error"; "unknown-hot-root";
     ]
     Alloc_lint.codes
 
@@ -854,6 +883,7 @@ let () =
             test_alloc_unused_allowlist;
           Alcotest.test_case "parse errors surface as diagnostics" `Quick
             test_alloc_parse_error;
+          Alcotest.test_case "unknown hot root is an error" `Quick test_alloc_unknown_hot_root;
         ] );
       ( "determinism",
         [

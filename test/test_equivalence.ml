@@ -1,10 +1,11 @@
 (* Dense/sparse/sharded engine equivalence.
 
-   The wakeup-driven sparse loop and the domain-sharded loop are only
-   allowed to exist because they are byte-identical to the dense
-   reference: same delivered bits, same completion rounds, same broadcast
-   counts, same stop round, and the same round-by-round channel trace
-   (skipped rounds appearing as the all-silent digests they are).  This
+   [`Dense] is the sparse loop with every wakeup contract replaced by
+   "every round", and the sparse and domain-sharded loops must be
+   byte-identical to that reference: same delivered bits, same
+   completion rounds, same broadcast counts, same stop round, and the
+   same round-by-round channel trace (skipped rounds appearing as the
+   all-silent digests they are).  This
    suite drives all three loops over the full protocol x fault-model
    matrix plus a lossy-channel case; QCheck properties do the same over
    randomized scenarios, randomized tile counts, and fully randomized
@@ -123,6 +124,34 @@ let test_lossy_channel () =
   in
   check_equivalent "nw1/lossy" spec
 
+(* What the one-line reference exists to catch: a machine whose wakeup
+   contract says "never" while its [act] transmits.  [`Dense] polls it
+   every round and hears it; [`Sparse] trusts the contract and never
+   polls it (round 0's forced poll is machine 0's), so the two traces
+   must diverge. *)
+let test_broken_contract_diverges () =
+  let nodes = Array.init 2 (fun i -> Node.make i (Point.make (float_of_int i) 0.0)) in
+  let topology =
+    Topology.build { Deployment.width = 1.0; height = 1.0; nodes } (Propagation.disk_l2 1.5)
+  in
+  let liar =
+    {
+      Engine.silent_machine with
+      act = (fun r -> if r mod 5 = 3 then Engine.Transmit r else Engine.Silent);
+      next_active = Engine.never_active;
+    }
+  in
+  let trace mode =
+    let tap, recorded = Determinism.collector () in
+    ignore
+      (Engine.run ~mode ~tap ~topology ~machines:[| Engine.silent_machine; liar |]
+         ~waiters:[| true; true |] ~cap:20 ());
+    recorded ()
+  in
+  match Determinism.diff (trace `Dense) (trace `Sparse) with
+  | Determinism.Diverged { round; _ } -> Alcotest.(check int) "first divergent round" 3 round
+  | Determinism.Deterministic _ -> Alcotest.fail "dense reference missed a broken wakeup contract"
+
 (* Randomized scenarios: any protocol, any fault model, lossy or ideal
    channel, arbitrary seed, deployment size and tile count. *)
 let prop_random_scenarios =
@@ -169,6 +198,11 @@ let () =
       ( "packed vs boxed observations",
         List.concat_map (fun p -> List.map (packed_case p) packed_modes) protocols );
       ("lossy channel", [ Alcotest.test_case "nw1 under loss" `Quick test_lossy_channel ]);
+      ( "wakeup contract",
+        [
+          Alcotest.test_case "dense reference catches a broken contract" `Quick
+            test_broken_contract_diverges;
+        ] );
       ( "properties",
         List.map
           (fun t -> QCheck_alcotest.to_alcotest ~long:false t)

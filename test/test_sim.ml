@@ -470,20 +470,6 @@ let test_engine_stop_when () =
   (* stop_when is polled every 96 rounds. *)
   Alcotest.(check int) "stopped at third poll" 192 result.Engine.rounds_used
 
-let test_engine_stop_stride () =
-  let topology = line_topology 2 1.0 1.5 in
-  let machines = [| Engine.silent_machine; Engine.silent_machine |] in
-  let calls = ref 0 in
-  let stop_when () =
-    incr calls;
-    !calls >= 2
-  in
-  let result =
-    Engine.run ~stop_when ~stop_stride:7 ~topology ~machines ~waiters:[| true; true |]
-      ~cap:100000 ()
-  in
-  Alcotest.(check int) "custom stride honoured" 7 result.Engine.rounds_used
-
 (* The point of the sparse loop: a machine with a periodic wakeup contract
    is polled only in the rounds it declared, and a contract-silent
    listener is woken only when a transmission actually reaches it — yet
@@ -639,7 +625,6 @@ let () =
           Alcotest.test_case "idle stop" `Quick test_engine_idle_stop;
           Alcotest.test_case "round cap" `Quick test_engine_cap;
           Alcotest.test_case "stop_when polling" `Quick test_engine_stop_when;
-          Alcotest.test_case "stop_when custom stride" `Quick test_engine_stop_stride;
           Alcotest.test_case "sparse mode skips idle rounds" `Quick
             test_engine_sparse_skips_idle_rounds;
         ] );
