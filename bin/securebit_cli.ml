@@ -211,6 +211,11 @@ let fig_cmd =
              Registry.all)
       | other -> Option.map (fun job -> [ job ]) (Registry.find other)
     in
+    (match Bench.check_jobs jobs with
+    | Ok () -> ()
+    | Error message ->
+      prerr_endline message;
+      exit 2);
     match selected with
     | Some jobs_list -> List.iter show jobs_list
     | None ->
@@ -283,7 +288,7 @@ let bench_cmd =
         compare_base
     | Error message ->
       prerr_endline message;
-      exit 1
+      exit 2
   in
   Cmd.v
     (Cmd.info "bench"

@@ -6,8 +6,6 @@
                                        concurrency hazards in the sources;
    `securebit_lint lint share`         domain-safety lint: mutable state
                                        reachable from pool tasks;
-   `securebit_lint lint alloc`         hot-path allocation inventory diffed
-                                       against the committed golden file;
    `securebit_lint check twobit`       bounded model checking of the 2Bit
                                        frame and the 1Hop stream;
    `securebit_lint check vote`         exhaustive checking of the multi-hop
@@ -292,143 +290,10 @@ let lint_share_cmd =
           lib/core or lib/sim.  Pairs with the dynamic Pool.map_array ~sanitize check.")
     Term.(const run $ json_arg $ seed_violation_arg $ inventory_arg $ paths_arg)
 
-(* --- lint alloc ---------------------------------------------------------- *)
-
-let alloc_diag_json (d : Alloc_lint.diagnostic) =
-  Json.Obj
-    [
-      ("severity", Json.String (Lint.severity_label d.severity));
-      ("file", Json.String d.file);
-      ("line", Json.Int d.line);
-      ("code", Json.String d.code);
-      ("message", Json.String d.message);
-    ]
-
-let alloc_allow_json (a : Alloc_lint.allow) =
-  Json.Obj
-    [
-      ("file", Json.String a.al_file);
-      ("class", Json.String a.al_class);
-      ("fn", (match a.al_fn with Some f -> Json.String f | None -> Json.Null));
-      ("line", Json.Int a.al_line);
-      ("why", Json.String a.al_why);
-    ]
-
-let alloc_report ~json ~files_count ~baseline diags =
-  let errors = List.length (List.filter (fun d -> d.Alloc_lint.severity = Lint.Error) diags) in
-  let warnings = List.length (List.filter (fun d -> d.Alloc_lint.severity = Lint.Warning) diags) in
-  if json then
-    print_string
-      (Json.to_string_pretty
-         (Json.Obj
-            [
-              ("analyzer", Json.String "alloc-lint");
-              ("files", Json.Int files_count);
-              ("baseline", Json.String baseline);
-              ("errors", Json.Int errors);
-              ("warnings", Json.Int warnings);
-              ("allowlist", Json.List (List.map alloc_allow_json Alloc_lint.allowlist));
-              ("diagnostics", Json.List (List.map alloc_diag_json diags));
-            ]))
-  else begin
-    List.iter (fun d -> print_endline (Alloc_lint.diagnostic_to_string d)) diags;
-    Printf.printf "analyzed %d file(s) against %s: %s\n" files_count baseline
-      (if Alloc_lint.has_errors diags then "FAILED" else "ok")
-  end;
-  if Alloc_lint.has_errors diags then exit 1
-
-let lint_alloc_cmd =
-  let paths_arg =
-    Arg.(
-      value
-      & pos_all string [ "lib"; "bin"; "bench"; "examples"; "test" ]
-      & info [] ~docv:"PATH"
-          ~doc:"Files or directories to analyze (default: lib bin bench examples test).")
-  in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt string Alloc_lint.default_golden_name
-      & info [ "baseline" ] ~docv:"FILE" ~doc:"Golden allocation inventory to diff against.")
-  in
-  let write_arg =
-    Arg.(
-      value & flag
-      & info [ "write-baseline" ]
-          ~doc:
-            "Refresh: write the current inventory to the baseline file and exit 0.  Review the \
-             diff before committing — every delta must be explained by an intentional hot-path \
-             change.")
-  in
-  let inventory_arg =
-    Arg.(
-      value & flag
-      & info [ "inventory" ]
-          ~doc:"Print the current inventory as JSON instead of diffing.  Always exits 0.")
-  in
-  let sites_arg =
-    Arg.(
-      value & flag
-      & info [ "sites" ]
-          ~doc:
-            "Print every classified allocation site (file:line class root function) instead of \
-             diffing — the per-site audit trail behind an inventory count.  Always exits 0.")
-  in
-  let seed_violation_arg =
-    Arg.(
-      value & flag
-      & info [ "seed-violation" ]
-          ~doc:
-            "Analyze a bundled fake hot loop that boxes floats, closes over a variable and builds \
-             throwaway lists per round, diffed against an empty golden inventory, to demonstrate \
-             the diagnostics.")
-  in
-  let run json baseline write inventory sites seed_violation paths =
-    if seed_violation then
-      alloc_report ~json
-        ~files_count:(List.length Alloc_lint.seed_violation_files)
-        ~baseline:"(empty golden)" (Alloc_lint.seed_violation ())
-    else if sites then
-      List.iter
-        (fun (s : Alloc_lint.site) ->
-          Printf.printf "%s:%d: %s %s %s\n" s.site_file s.site_line
-            (Alloc_lint.class_label s.site_class)
-            s.site_root s.site_fn)
-        (Alloc_lint.sites_paths paths)
-    else if write || inventory then begin
-      let inv = Alloc_lint.inventory_paths paths in
-      let text = Json.to_string_pretty (Alloc_lint.json_of_inventory inv) in
-      if write then begin
-        let oc = open_out baseline in
-        output_string oc text;
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s (%d hot root(s))\n" baseline (List.length inv)
-      end
-      else print_endline text
-    end
-    else
-      alloc_report ~json
-        ~files_count:(List.length (Source_lint.source_files paths))
-        ~baseline (Alloc_lint.lint_paths ~golden_path:baseline paths)
-  in
-  Cmd.v
-    (Cmd.info "alloc"
-       ~doc:
-         "Hot-path allocation inventory: walk the approximate call graph from the annotated hot \
-          roots (engine round phases, shard phases, channel resolution, voting kernels), classify \
-          every syntactic allocation site and diff the per-root per-class counts against the \
-          committed golden inventory.  A class a hot root did not previously allocate is an \
-          error; count growth is a warning.  Pairs with the dynamic words/active-round gate in \
-          `bench compare`.")
-    Term.(
-      const run $ json_arg $ baseline_arg $ write_arg $ inventory_arg $ sites_arg
-      $ seed_violation_arg $ paths_arg)
-
 let lint_group =
   Cmd.group
     (Cmd.info "lint" ~doc:"Static validation of configurations and sources.")
-    [ lint_scenario_cmd; lint_source_cmd; lint_share_cmd; lint_alloc_cmd ]
+    [ lint_scenario_cmd; lint_source_cmd; lint_share_cmd ]
 
 (* --- check twobit ------------------------------------------------------ *)
 
@@ -639,10 +504,10 @@ let check_group =
 
 (* --- all ----------------------------------------------------------------- *)
 
-(* One umbrella run of every analyzer: the three source analyzers (source,
-   share, alloc) share a single read+parse of the tree instead of parsing
-   it three times, and each analyzer's wall time is reported so CI logs
-   show where `dune build @lint` spends its budget. *)
+(* One umbrella run of every analyzer: the two source analyzers (source,
+   share) share a single read+parse of the tree instead of parsing it
+   twice, and each analyzer's wall time is reported so CI logs show where
+   `dune build @lint` spends its budget. *)
 
 type analyzer_result = {
   ar_name : string;
@@ -707,14 +572,7 @@ let all_cmd =
             "Files or directories for the source analyzers (default: lib bin bench examples \
              test).")
   in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt string Alloc_lint.default_golden_name
-      & info [ "alloc-baseline" ] ~docv:"FILE"
-          ~doc:"Golden allocation inventory for the alloc analyzer.")
-  in
-  let run json baseline paths =
+  let run json paths =
     let files = Source_lint.source_files paths in
     let contents = List.map (fun path -> (path, Callgraph.read_file path)) files in
     let parsed, parse_errors =
@@ -772,16 +630,6 @@ let all_cmd =
           List.length (List.filter (fun d -> d.Share_lint.severity = Lint.Warning) diags),
           List.map share_diag_json diags,
           List.map Share_lint.diagnostic_to_string diags ));
-    timed "alloc" (fun () ->
-        let diags =
-          Alloc_lint.lint_structures ~golden_name:baseline
-            ~golden:(Alloc_lint.load_golden baseline) parsed
-        in
-        ( Alloc_lint.has_errors diags,
-          List.length (List.filter (fun d -> d.Alloc_lint.severity = Lint.Error) diags),
-          List.length (List.filter (fun d -> d.Alloc_lint.severity = Lint.Warning) diags),
-          List.map alloc_diag_json diags,
-          List.map Alloc_lint.diagnostic_to_string diags ));
     timed "scenario" (fun () ->
         let diags =
           List.concat_map (fun (name, spec) -> Lint.lint ~name spec) Scenario.presets
@@ -866,11 +714,11 @@ let all_cmd =
   Cmd.v
     (Cmd.info "all"
        ~doc:
-         "Run every analyzer — source, share and alloc lint behind one shared parse of the tree, \
+         "Run every analyzer — source and share lint behind one shared parse of the tree, \
           scenario lint over the bundled presets, the quick model-check budget, the voting \
           checker and the determinism diff — reporting per-analyzer wall times and failing if \
           any analyzer fails.")
-    Term.(const run $ json_arg $ baseline_arg $ paths_arg)
+    Term.(const run $ json_arg $ paths_arg)
 
 let () =
   let doc = "protocol-invariant verifier and scenario linter (static checking)" in

@@ -415,6 +415,7 @@ type summary = {
   correct_rate : float;
   rounds : int;
   active_rounds : int;
+  loop_words : float;
   hit_cap : bool;
   total_broadcasts : int;
   mean_completion_round : float;
@@ -448,6 +449,7 @@ let summarize result =
     correct_rate = ratio !delivered_correct !honest_nodes;
     rounds = result.engine.Engine.rounds_used;
     active_rounds = result.engine.Engine.active_rounds;
+    loop_words = result.engine.Engine.loop_words;
     hit_cap = result.engine.Engine.hit_cap;
     total_broadcasts = Array.fold_left ( + ) 0 result.engine.Engine.broadcasts;
     mean_completion_round = Stats.mean !completion_rounds;

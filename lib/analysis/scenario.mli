@@ -134,6 +134,7 @@ type summary = {
   correct_rate : float;  (** delivered_correct / honest_nodes *)
   rounds : int;
   active_rounds : int;  (** rounds with at least one transmission *)
+  loop_words : float;  (** {!Engine.result.loop_words}: minor words inside the engine loop *)
   hit_cap : bool;
   total_broadcasts : int;
   mean_completion_round : float;  (** over honest nodes that completed *)

@@ -1,25 +1,19 @@
-(* Approximate interprocedural call graph over the repo's Parsetree.
+(* Approximate same-file call graph over the repo's Parsetree.
 
-   Factored out of [Share_lint] so the source-level analyzers share one
-   vocabulary of expression helpers (reference/write extraction, binding
-   summaries) and one reachability engine:
-
-   - [Share_lint] asks the {e same-file} question: starting from a task
-     expression handed to a pool primitive, which module-level mutable
-     state can transitively be touched?  That is {!reach}, preserved
-     byte-for-byte from the original in-lint implementation (accumulation
-     order included) so the share-lint goldens cannot move.
-   - [Alloc_lint] asks the {e whole-tree} question: which functions are
-     reachable from a set of annotated hot roots ("Engine.process_round",
-     "Voting.Index.add", ...)?  That is {!build}/{!reachable}.
+   Factored out of [Share_lint]: expression helpers (reference/write
+   extraction, binding summaries) plus the reachability engine behind its
+   question "starting from a task expression handed to a pool primitive,
+   which module-level mutable state can transitively be touched?".  That
+   is {!reach}, preserved byte-for-byte from the original in-lint
+   implementation (accumulation order included) so the share-lint goldens
+   cannot move.  The parse helpers also serve [Source_lint] and the
+   shared parse of `securebit_lint all`.
 
    Everything here is purely syntactic (Parsetree, no typing): unqualified
    references resolve to same-file bindings of that name (all of them —
-   duplicates union, conservative in the right direction), qualified
-   references resolve to any function whose module-qualified name matches
-   the reference as a suffix ("Index.add" reaches "Voting.Index.add").
-   Higher-order flow, functors and shadowing are invisible; the analyzers
-   built on top document themselves as approximate accordingly. *)
+   duplicates union, conservative in the right direction).  Higher-order
+   flow, functors and shadowing are invisible; the analyzers built on top
+   document themselves as approximate accordingly. *)
 
 let module_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
@@ -191,104 +185,3 @@ let reach ~bindings entry =
   | Binding name -> follow name
   | Opaque -> ());
   (!refs, !writes)
-
-(* --- whole-tree function inventory and root reachability ----------------- *)
-
-type fn_info = {
-  fn_name : string;
-  fn_qual : string;
-  fn_file : string;
-  fn_line : int;
-  fn_arity : int;
-  fn_body : Parsetree.expression;
-  fn_summary : summary;
-}
-
-type t = { fns : fn_info list }
-
-let arity_of e =
-  let rec go n e =
-    match (peel e).Parsetree.pexp_desc with
-    | Parsetree.Pexp_fun (_, _, _, body) -> go (n + 1) body
-    | Parsetree.Pexp_newtype (_, body) -> go n body
-    | Parsetree.Pexp_function _ -> n + 1
-    | _ -> n
-  in
-  go 0 e
-
-(* Every let-bound function in one file, any depth, in encounter order,
-   qualified by the enclosing module path ("Voting.Index.add" for
-   [module Index = struct let add ... end] in voting.ml; nested lets take
-   the module path only, so [let process_round] inside [Engine.run] is
-   "Engine.process_round"). *)
-let fns_of_structure ~path structure =
-  let acc = ref [] in
-  let stack = ref [ module_of_path path ] in
-  let default = Ast_iterator.default_iterator in
-  let it =
-    {
-      default with
-      module_binding =
-        (fun it (mb : Parsetree.module_binding) ->
-          let saved = !stack in
-          (match mb.pmb_name.Location.txt with
-          | Some name -> stack := !stack @ [ name ]
-          | None -> ());
-          default.module_binding it mb;
-          stack := saved);
-      value_binding =
-        (fun it (vb : Parsetree.value_binding) ->
-          (match pattern_var vb.pvb_pat with
-          | Some name when is_function vb.pvb_expr ->
-            acc :=
-              {
-                fn_name = name;
-                fn_qual = String.concat "." (!stack @ [ name ]);
-                fn_file = path;
-                fn_line = line_of vb.pvb_loc;
-                fn_arity = arity_of vb.pvb_expr;
-                fn_body = vb.pvb_expr;
-                fn_summary = summarize vb.pvb_expr;
-              }
-              :: !acc
-          | Some _ | None -> ());
-          default.value_binding it vb);
-    }
-  in
-  it.structure it structure;
-  List.rev !acc
-
-let build parsed_files =
-  { fns = List.concat_map (fun (path, structure) -> fns_of_structure ~path structure) parsed_files }
-
-let functions t = t.fns
-
-(* A qualified name [q] matches a reference or root [r] when it is [r]
-   itself or ends in ".r" — "Index.add" written inside voting.ml matches
-   "Voting.Index.add".  Ambiguous suffixes union (conservative). *)
-let qual_matches ~qual r = qual = r || String.ends_with ~suffix:("." ^ r) qual
-
-let resolve t ~file r =
-  if String.contains r '.' then List.filter (fun fn -> qual_matches ~qual:fn.fn_qual r) t.fns
-  else List.filter (fun fn -> fn.fn_file = file && fn.fn_name = r) t.fns
-
-(* Depth-first closure over {!resolve} from every function matching a
-   root, in deterministic discovery order. *)
-let reachable t ~roots =
-  let visited = Hashtbl.create 64 in
-  let key fn = Printf.sprintf "%s:%d:%s" fn.fn_file fn.fn_line fn.fn_qual in
-  let out = ref [] in
-  let rec visit fn =
-    let k = key fn in
-    if not (Hashtbl.mem visited k) then begin
-      Hashtbl.add visited k ();
-      out := fn :: !out;
-      List.iter
-        (fun r -> List.iter visit (resolve t ~file:fn.fn_file r))
-        fn.fn_summary.fn_refs
-    end
-  in
-  List.iter
-    (fun root -> List.iter visit (List.filter (fun fn -> qual_matches ~qual:fn.fn_qual root) t.fns))
-    roots;
-  List.rev !out

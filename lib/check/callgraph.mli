@@ -1,18 +1,16 @@
-(** Approximate interprocedural call graph over the repo's Parsetree.
+(** Approximate same-file call graph over the repo's Parsetree.
 
     The shared machinery behind the source-level analyzers: expression
-    helpers (reference and mutation extraction), per-binding capture
-    summaries, the same-file transitive-reachability engine that
+    helpers, parsing, per-binding capture summaries (escaping references
+    and writes), and the same-file transitive-reachability engine that
     {!Share_lint}'s task analysis runs on (preserved byte-for-byte from
-    its original in-lint form), and the whole-tree function inventory
-    that {!Alloc_lint} walks from its annotated hot roots.
+    its original in-lint form).
 
     Everything is purely syntactic — [Parse.implementation], no typing.
     Unqualified references resolve to same-file bindings of that name
-    (all of them; duplicates union), qualified references to any function
-    whose module-qualified name ends in the reference ("Index.add"
-    reaches "Voting.Index.add").  Higher-order flow, functors and
-    shadowing are invisible; clients stay conservative accordingly. *)
+    (all of them; duplicates union); qualified references are left to
+    the client.  Higher-order flow, functors and shadowing are invisible;
+    clients stay conservative accordingly. *)
 
 (** {1 Expression helpers} *)
 
@@ -27,27 +25,9 @@ val peel : Parsetree.expression -> Parsetree.expression
 val head_ident : Parsetree.expression -> string option
 (** The dotted value path of an identifier expression, if it is one. *)
 
-val iter_expr : (Parsetree.expression -> unit) -> Parsetree.expression -> unit
-(** Apply [f] to every subexpression (prefix order). *)
-
-val refs_of_expr : Parsetree.expression -> string list
-(** All value-path references, as dotted strings. *)
-
-val bound_names_of_expr : Parsetree.expression -> string list
-(** Every value name bound anywhere inside: parameters, let patterns,
-    match cases, for-loop indices. *)
-
-val writer_heads : string list
-(** Function heads treated as mutation sites ([:=], [incr],
-    [Array.set], [Hashtbl.replace], ...). *)
-
-val is_writer : string -> bool
-
 type write = { target : string; wline : int }
 (** One syntactic mutation: the head identifier being mutated and the
     line of the mutating expression. *)
-
-val writes_of_expr : Parsetree.expression -> write list
 
 val is_function : Parsetree.expression -> bool
 (** Is this (after {!peel}) a syntactic function? *)
@@ -77,32 +57,3 @@ val reach : bindings:(string * summary) list -> entry -> string list * write lis
     entry and of every same-file binding it can reach through unqualified
     references.  Exactly {!Share_lint}'s original task analysis —
     accumulation order included — so its diagnostics cannot move. *)
-
-(** {1 Whole-tree function inventory} *)
-
-type fn_info = {
-  fn_name : string;  (** leaf binding name, e.g. ["add"] *)
-  fn_qual : string;  (** module-qualified, e.g. ["Voting.Index.add"] *)
-  fn_file : string;
-  fn_line : int;
-  fn_arity : int;  (** leading syntactic parameters *)
-  fn_body : Parsetree.expression;
-  fn_summary : summary;
-}
-
-type t
-
-val build : (string * Parsetree.structure) list -> t
-(** Inventory every let-bound function (any depth) of the parsed files,
-    qualified by enclosing module path, in encounter order. *)
-
-val functions : t -> fn_info list
-
-val resolve : t -> file:string -> string -> fn_info list
-(** All functions a reference written in [file] may denote: same-file
-    name matches when unqualified, qualified-suffix matches otherwise. *)
-
-val reachable : t -> roots:string list -> fn_info list
-(** Every function transitively reachable from the roots (each root a
-    qualified name or suffix thereof), in deterministic discovery
-    order. *)

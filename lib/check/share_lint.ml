@@ -90,9 +90,8 @@ let has_errors diags = List.exists (fun d -> d.severity = Lint.Error) diags
 (* --- expression helpers -------------------------------------------------- *)
 
 (* The generic Parsetree machinery (reference/write extraction, binding
-   summaries, the same-file reachability engine) lives in {!Callgraph},
-   shared with [Alloc_lint]; this lint keeps only the mutable-state
-   specific parts. *)
+   summaries, the same-file reachability engine) lives in {!Callgraph};
+   this lint keeps only the mutable-state specific parts. *)
 
 let module_of_path = Callgraph.module_of_path
 let line_of = Callgraph.line_of

@@ -38,6 +38,10 @@ let selection only =
                ids)
            Registry.all)
 
+let check_jobs jobs =
+  if jobs >= 1 then Ok ()
+  else Error (Printf.sprintf "invalid --jobs %d: need at least one worker domain" jobs)
+
 let scale_name = function Experiment.Quick -> "quick" | Experiment.Paper -> "paper"
 
 let write_json path json =
@@ -124,6 +128,8 @@ type alloc_check = {
 let alloc_exceeded a =
   match a.rate with Some rate -> rate > a.ceiling_words_per_round | None -> false
 
+let words_ceiling rate = Float.max rate (Float.floor (rate *. 1.05 *. 100.0) /. 100.0)
+
 (* Committed per-experiment allocation-rate ceilings: optional
    [max_words_per_active_round] per baseline entry, mirroring the
    [max_heap_words] peak-heap mechanism. *)
@@ -180,7 +186,7 @@ let render_alloc checks =
   if checks = [] then ""
   else begin
     let table =
-      Table.create ~title:"allocation-rate ceiling check (minor words / active round)"
+      Table.create ~title:"allocation-rate ceiling check (in-loop minor words / active round)"
         ~columns:
           [ "experiment"; "ceiling (w/round)"; "base (w/round)"; "measured (w/round)"; "delta"; "verdict" ]
     in
@@ -189,9 +195,9 @@ let render_alloc checks =
         Table.add_row table
           [
             a.al_id;
-            Table.cell_f ~decimals:0 a.ceiling_words_per_round;
-            (match a.base_rate with Some r -> Table.cell_f ~decimals:0 r | None -> "-");
-            (match a.rate with Some r -> Table.cell_f ~decimals:0 r | None -> "-");
+            Table.cell_f ~decimals:2 a.ceiling_words_per_round;
+            (match a.base_rate with Some r -> Table.cell_f ~decimals:2 r | None -> "-");
+            (match a.rate with Some r -> Table.cell_f ~decimals:2 r | None -> "-");
             (match alloc_delta a with
             | Some d -> Printf.sprintf "%+.1f%%" (100.0 *. d)
             | None -> "-");
@@ -415,7 +421,7 @@ let compare_outcomes ?tolerance ~base outcomes =
     (List.map (fun o -> (o.Runner.job.Experiment.id, o.Runner.wall_seconds)) outcomes)
 
 let run options =
-  match selection options.only with
+  match Result.bind (check_jobs options.jobs) (fun () -> selection options.only) with
   | Error message -> Error message
   | Ok selected ->
     Printf.printf "securebit benchmark harness — scale: %s, jobs: %d\n\n%!"

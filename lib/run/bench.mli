@@ -24,11 +24,15 @@ val selection : string list -> (Experiment.job list, string) result
 (** Resolve ids against {!Registry.all} (canonical order kept); [Error]
     names any unknown ids. *)
 
+val check_jobs : int -> (unit, string) result
+(** [Error] naming the value unless [jobs >= 1]. *)
+
 val scale_name : Experiment.scale -> string
 
 val run : options -> (Runner.outcome list, string) result
 (** Run the selected jobs, printing tables, fits, notes and per-job wall
-    times; write [json_path] if given.  [Error] on unknown ids. *)
+    times; write [json_path] if given.  [Error], before running anything,
+    on [jobs < 1] ({!check_jobs}) or unknown ids. *)
 
 (** {1 Comparison (["bench compare"])}
 
@@ -84,6 +88,13 @@ type alloc_check = {
           current run was not profiled — reported as a warning, never a
           failure *)
 }
+
+val words_ceiling : float -> float
+(** The [max_words_per_active_round] ceiling committed for a measured
+    in-loop rate: 5 % above it, rounded down to 0.01 words, never below
+    the rate itself.  The count is exact, so the headroom is not for
+    noise: it only lets a change that allocates a little more per round
+    through without a baseline refresh. *)
 
 val alloc_exceeded : alloc_check -> bool
 (** True iff a measured allocation rate is above its ceiling. *)

@@ -14,6 +14,7 @@ type profile = {
   rounds_simulated : int;
   rounds_per_second : float;
   active_rounds : int;
+  loop_words : float;
   words_per_active_round : float;
   workers : Pool.worker_stat list;
 }
@@ -102,18 +103,15 @@ let run_job ?(jobs = 1) ?(profile = false) ?(sanitize = false) ~scale (job : Exp
     Option.map
       (fun g0 ->
         let g1 = Gc.quick_stat () in
-        let rounds_simulated =
+        let sum zero add of_summary =
           Array.fold_left
             (fun acc result ->
-              match result with Summary s -> acc + s.Scenario.rounds | Row _ -> acc)
-            0 results
+              match result with Summary s -> add acc (of_summary s) | Row _ -> acc)
+            zero results
         in
-        let active_rounds =
-          Array.fold_left
-            (fun acc result ->
-              match result with Summary s -> acc + s.Scenario.active_rounds | Row _ -> acc)
-            0 results
-        in
+        let rounds_simulated = sum 0 ( + ) (fun s -> s.Scenario.rounds) in
+        let active_rounds = sum 0 ( + ) (fun s -> s.Scenario.active_rounds) in
+        let loop_words = sum 0.0 ( +. ) (fun s -> s.Scenario.loop_words) in
         let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
         {
           minor_words;
@@ -127,12 +125,14 @@ let run_job ?(jobs = 1) ?(profile = false) ?(sanitize = false) ~scale (job : Exp
           rounds_per_second =
             (if wall_seconds > 0.0 then float_of_int rounds_simulated /. wall_seconds else 0.0);
           active_rounds;
-          (* Allocation rate of the hot loop: coordinator minor words over
-             transmission-carrying rounds (exact at --jobs 1, like the
-             other top-level deltas); [bench compare] gates this against
-             committed [max_words_per_active_round] ceilings. *)
+          loop_words;
+          (* Allocation rate of the hot loop: in-loop words over
+             transmission-carrying rounds, both counted by the engine on the
+             domain that ran each trial, so the rate is exact at every
+             --jobs value; [bench compare] gates it against committed
+             [max_words_per_active_round] ceilings. *)
           words_per_active_round =
-            (if active_rounds > 0 then minor_words /. float_of_int active_rounds else 0.0);
+            (if active_rounds > 0 then loop_words /. float_of_int active_rounds else 0.0);
           workers;
         })
       gc0
@@ -207,6 +207,7 @@ let json_of_profile p =
       ("rounds_simulated", Json.Int p.rounds_simulated);
       ("rounds_per_second", Json.Float p.rounds_per_second);
       ("active_rounds", Json.Int p.active_rounds);
+      ("loop_words", Json.Float p.loop_words);
       ("words_per_active_round", Json.Float p.words_per_active_round);
       ("workers", Json.List (List.map json_of_worker p.workers));
     ]

@@ -20,18 +20,23 @@ type profile = {
   active_rounds : int;
       (** transmission-carrying engine rounds across the job's Grid trials
           (mode-independent — see {!Engine.result}) *)
+  loop_words : float;
+      (** minor words allocated inside the engine loop, summed over the
+          job's Grid trials ({!Engine.result.loop_words}); identical at
+          every [jobs] value *)
   words_per_active_round : float;
-      (** [minor_words / active_rounds] (0 when no active rounds): the
-          hot-loop allocation rate that [bench compare] gates against
+      (** [loop_words / active_rounds] (0 when no active rounds): the
+          in-loop allocation rate that [bench compare] gates against
           committed [max_words_per_active_round] ceilings *)
   workers : Pool.worker_stat list;
       (** one entry per pool domain: tasks run and exact per-domain
           {!Gc.quick_stat} deltas *)
 }
-(** Cheap per-job performance counters (top-level fields are
-    {!Gc.quick_stat} deltas on the coordinating domain — exact at
-    [--jobs 1], coordinator-only above that; [workers] is exact on every
-    domain). *)
+(** Cheap per-job performance counters.  [minor_words] through
+    [top_heap_words] are {!Gc.quick_stat} figures on the coordinating
+    domain — exact at [--jobs 1], coordinator-only above that; [workers]
+    is exact on every domain; [loop_words], [active_rounds] and the rate
+    built from them are exact at every [jobs] value. *)
 
 type outcome = {
   job : Experiment.job;

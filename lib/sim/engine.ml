@@ -44,6 +44,7 @@ type mode = [ `Dense | `Sparse | `Sharded of int ]
 type result = {
   rounds_used : int;
   active_rounds : int;
+  loop_words : float;
   hit_cap : bool;
   delivered : Bitvec.t option array;
   completion_round : int array;
@@ -538,8 +539,11 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?idl
        evaluated for skipped rounds exactly as if they had run, including
        the call count of the stateful stop_when;
      - a tap sees one digest per round, skipped rounds fingerprinting as
-       uniform silence. *)
+       uniform silence.
+     Returns the minor words the calling domain allocated inside the loop
+     (construction excluded): the exact in-loop allocation count. *)
   let drive step =
+    let w0 = Gc.minor_words () in
     while (not !stopping) && !round < cap do
       let target = next_target () in
       if target > !round then advance_silent target;
@@ -551,7 +555,8 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?idl
           incr round
         end
       end
-    done
+    done;
+    Gc.minor_words () -. w0
   in
   (* The sharded driver runs the same phases on [tiles] domains,
      synchronized by a 4-barrier round:
@@ -659,16 +664,18 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?idl
       if Shard.Team.failed team then stopping := true
     in
     let main () =
-      drive sharded_round;
+      let words = drive sharded_round in
       cmd := -1;
-      Shard.Team.await team
+      Shard.Team.await team;
+      words
     in
     Shard.Team.run team ~worker ~main
   in
-  if sharded then run_sharded () else drive (process_round tile_arr.(0));
+  let loop_words = if sharded then run_sharded () else drive (process_round tile_arr.(0)) in
   {
     rounds_used = !round;
     active_rounds = !active_rounds;
+    loop_words;
     hit_cap = !round >= cap && !pending > 0;
     delivered = Array.init n (fun i -> machines.(i).delivered ());
     completion_round;

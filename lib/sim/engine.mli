@@ -94,7 +94,14 @@ type result = {
   active_rounds : int;
       (** rounds in which at least one machine transmitted; mode-independent
           (the sparse loops skip only all-silent rounds), and the denominator
-          of the allocation-rate gate (minor words / active round) *)
+          of the allocation-rate gate ([loop_words] / active round) *)
+  loop_words : float;
+      (** minor-heap words allocated inside the round loop, sampled with
+          [Gc.minor_words] around it (topology, tile and machine
+          construction excluded).  Exact and deterministic for a seeded
+          serial run, whatever domain runs it.  Sharded runs count the
+          coordinating domain only: its own tile's phases plus the merge,
+          not the other tiles' domains. *)
   hit_cap : bool;  (** true when stopped by the round cap *)
   delivered : Bitvec.t option array;  (** per-node accepted message *)
   completion_round : int array;  (** first round with a delivery; -1 if none *)

@@ -412,19 +412,10 @@ let test_share_lint_parse_error () =
   | [ d ] -> Alcotest.(check string) "parse error code" "parse-error" d.Share_lint.code
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
-(* --- callgraph ------------------------------------------------------------ *)
-
-let parse_exn ~path contents =
-  match Callgraph.parse_string ~path contents with
-  | Ok structure -> structure
-  | Error line -> Alcotest.failf "%s:%d: fixture does not parse" path line
-
 (* A family of programs with the write hidden behind a helper chain of
    varying depth, handed to the pool either in a lambda or by name.  The
    property: Share_lint flags the program as shared-mutable exactly when
-   Callgraph's whole-tree reachability from the task function reaches a
-   function whose summary writes the global — the two analyses are built
-   on the same machinery and must give the same verdict. *)
+   the chain ends in a write to the global, however deep. *)
 let chain_program ~named ~writes depth =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "let total = ref 0\n";
@@ -439,214 +430,20 @@ let chain_program ~named ~writes depth =
      else Printf.sprintf "let sweep specs = Pool.map_array ~jobs:2 (fun s -> %s s) specs\n" top);
   Buffer.contents buf
 
-let test_callgraph_matches_share_lint_verdicts () =
+let test_share_lint_helper_chain_verdicts () =
   List.iter
     (fun (named, writes, depth) ->
       let label = Printf.sprintf "named=%b writes=%b depth=%d" named writes depth in
       let src = chain_program ~named ~writes depth in
-      let path = "lib/analysis/chain.ml" in
       let share_flags =
         List.exists
           (fun d -> d.Share_lint.code = "shared-mutable")
-          (Share_lint.lint_strings [ (path, src) ])
+          (Share_lint.lint_strings [ ("lib/analysis/chain.ml", src) ])
       in
-      let graph = Callgraph.build [ (path, parse_exn ~path src) ] in
-      let reached = Callgraph.reachable graph ~roots:[ "Chain.sweep" ] in
-      let graph_flags =
-        List.exists
-          (fun fn ->
-            List.exists
-              (fun (w : Callgraph.write) -> w.Callgraph.target = "total")
-              fn.Callgraph.fn_summary.Callgraph.fn_writes)
-          reached
-      in
-      Alcotest.(check bool) (label ^ ": sweep itself is reached") true
-        (List.exists (fun fn -> fn.Callgraph.fn_qual = "Chain.sweep") reached);
-      Alcotest.(check bool) (label ^ ": verdicts agree") share_flags graph_flags;
       Alcotest.(check bool) (label ^ ": expected verdict") writes share_flags)
     (List.concat_map
        (fun depth -> [ (false, true, depth); (true, true, depth); (false, false, depth) ])
        [ 1; 2; 3 ])
-
-(* --- alloc lint ----------------------------------------------------------- *)
-
-let alloc_codes diags =
-  List.sort_uniq String.compare (List.map (fun d -> d.Alloc_lint.code) diags)
-
-let empty_golden =
-  Json.Obj [ ("schema", Json.String Alloc_lint.schema); ("roots", Json.List []) ]
-
-let boxy_roots = [ ("boxy-round", [ "Boxy_hot_loop.process_round" ]) ]
-
-let boxy_files () =
-  [
-    ( "lib/sim/boxy_hot_loop.ml",
-      In_channel.with_open_bin "fixtures/boxy_hot_loop.ml" In_channel.input_all );
-  ]
-
-let test_alloc_seed_violation () =
-  let diags = Alloc_lint.seed_violation () in
-  Alcotest.(check bool) "the demo fails the lint" true (Alloc_lint.has_errors diags);
-  Alcotest.(check (list string)) "every diagnostic is a new hot-path class"
-    [ "new-alloc-class" ] (alloc_codes diags);
-  List.iter
-    (fun cls ->
-      Alcotest.(check bool) (cls ^ " fires on the demo") true
-        (List.exists (fun d -> contains ~affix:("class " ^ cls) d.Alloc_lint.message) diags))
-    [ "boxed-float"; "closure"; "list"; "tuple" ]
-
-(* The acceptance bar for the analyzer: an injected hot-path boxed-float
-   allocation (the committed fixture) must come back as a new-alloc-class
-   error, located in the offending file. *)
-let test_alloc_boxy_fixture () =
-  let diags = Alloc_lint.lint_strings ~roots:boxy_roots ~golden:(Some empty_golden) (boxy_files ()) in
-  Alcotest.(check bool) "the fixture fails the lint" true (Alloc_lint.has_errors diags);
-  List.iter
-    (fun cls ->
-      Alcotest.(check bool) (cls ^ " flagged as a new class") true
-        (List.exists
-           (fun d ->
-             d.Alloc_lint.severity = Lint.Error
-             && d.Alloc_lint.code = "new-alloc-class"
-             && d.Alloc_lint.file = "lib/sim/boxy_hot_loop.ml"
-             && d.Alloc_lint.line > 0
-             && contains ~affix:("class " ^ cls) d.Alloc_lint.message)
-           diags))
-    [ "boxed-float"; "closure"; "list" ]
-
-(* The packed-observation regression tripwire: the fixture's old-style
-   observe path (per-receiver option/tuple boxing, a closure over the
-   round, a throwaway list per call) must keep tripping the analyzer on
-   every class the flat-state engine rewrite eliminated. *)
-let test_alloc_boxy_observe_path () =
-  let roots = [ ("boxy-observe", [ "Boxy_hot_loop.observe_boxy" ]) ] in
-  let diags = Alloc_lint.lint_strings ~roots ~golden:(Some empty_golden) (boxy_files ()) in
-  Alcotest.(check bool) "the observe path fails the lint" true (Alloc_lint.has_errors diags);
-  List.iter
-    (fun cls ->
-      Alcotest.(check bool) (cls ^ " flagged on the observe path") true
-        (List.exists
-           (fun d ->
-             d.Alloc_lint.severity = Lint.Error
-             && d.Alloc_lint.code = "new-alloc-class"
-             && d.Alloc_lint.file = "lib/sim/boxy_hot_loop.ml"
-             && contains ~affix:("class " ^ cls) d.Alloc_lint.message)
-           diags))
-    [ "closure"; "tuple"; "ref"; "list" ]
-
-let test_alloc_inventory_roundtrip_and_diff () =
-  let files = boxy_files () in
-  let inv = Alloc_lint.inventory_strings ~roots:boxy_roots files in
-  Alcotest.(check bool) "the fixture has an inventory" true (inv <> []);
-  (* JSON roundtrip is lossless. *)
-  (match Alloc_lint.inventory_of_json (Alloc_lint.json_of_inventory inv) with
-  | Ok roundtrip -> Alcotest.(check bool) "json roundtrip" true (roundtrip = inv)
-  | Error message -> Alcotest.fail message);
-  (* Linted against its own inventory the fixture is clean... *)
-  Alcotest.(check (list string)) "clean against its own inventory" []
-    (alloc_codes
-       (Alloc_lint.lint_strings ~roots:boxy_roots
-          ~golden:(Some (Alloc_lint.json_of_inventory inv))
-          files));
-  let tweak f =
-    List.map
-      (fun (root, classes) ->
-        (root, List.map (fun (cls, n) -> (cls, if cls = "boxed-float" then f n else n)) classes))
-      inv
-  in
-  (* ...a golden one boxed-float site short makes growth a warning, not an
-     error... *)
-  let grown =
-    Alloc_lint.lint_strings ~roots:boxy_roots
-      ~golden:(Some (Alloc_lint.json_of_inventory (tweak (fun n -> n - 1))))
-      files
-  in
-  Alcotest.(check (list string)) "count growth is a warning" [ "alloc-count-growth" ]
-    (alloc_codes grown);
-  Alcotest.(check bool) "growth alone does not fail the lint" false (Alloc_lint.has_errors grown);
-  (* ...and a golden with one extra site nudges toward a refresh. *)
-  let shrunk =
-    Alloc_lint.lint_strings ~roots:boxy_roots
-      ~golden:(Some (Alloc_lint.json_of_inventory (tweak (fun n -> n + 1))))
-      files
-  in
-  Alcotest.(check (list string)) "count shrink is an info nudge" [ "alloc-count-shrink" ]
-    (alloc_codes shrunk);
-  Alcotest.(check bool) "shrink does not fail the lint" false (Alloc_lint.has_errors shrunk)
-
-let test_alloc_missing_baseline () =
-  (match Alloc_lint.lint_strings ~roots:boxy_roots ~golden:None (boxy_files ()) with
-  | [ d ] ->
-    Alcotest.(check string) "missing baseline is an error" "baseline-missing" d.Alloc_lint.code;
-    Alcotest.(check bool) "it is an error" true (d.Alloc_lint.severity = Lint.Error)
-  | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags));
-  match Alloc_lint.lint_strings ~roots:boxy_roots ~golden:(Some Json.Null) (boxy_files ()) with
-  | [ d ] ->
-    Alcotest.(check string) "unreadable baseline is an error" "baseline-missing" d.Alloc_lint.code
-  | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
-
-let test_alloc_unused_allowlist () =
-  (* The committed allowlist audits Engine.process_round classes in
-     lib/sim/engine.ml; a fake engine.ml without those sites must surface
-     every entry as stale, located at its definition line in the
-     allowlist module itself. *)
-  let diags =
-    Alloc_lint.lint_strings ~golden:(Some empty_golden)
-      [ ("lib/sim/engine.ml", "let process_round x = x + 1\n") ]
-  in
-  let stale = List.filter (fun d -> d.Alloc_lint.code = "unused-allowlist") diags in
-  Alcotest.(check int) "every committed audit is stale on the fake tree"
-    (List.length Alloc_lint.allowlist) (List.length stale);
-  List.iter
-    (fun d ->
-      Alcotest.(check string) "located in the allowlist module" Alloc_lint.allowlist_file
-        d.Alloc_lint.file;
-      Alcotest.(check bool) "at its definition line" true (d.Alloc_lint.line > 0))
-    stale;
-  (* Linting a tree that never visits the audited file judges nothing. *)
-  Alcotest.(check (list string)) "unvisited files are not judged" []
-    (alloc_codes
-       (Alloc_lint.lint_strings ~golden:(Some empty_golden)
-          [ ("lib/analysis/other.ml", "let x = 1\n") ]))
-
-(* A renamed hot function must not drop out of the walk silently: a root
-   pattern naming no function is an error located in the root's module,
-   even when the golden inventory otherwise matches.  A root whose module
-   was not linted is not judged. *)
-let test_alloc_unknown_hot_root () =
-  let files = boxy_files () in
-  let golden =
-    Some (Alloc_lint.json_of_inventory (Alloc_lint.inventory_strings ~roots:boxy_roots files))
-  in
-  let roots =
-    [ ("boxy-round", [ "Boxy_hot_loop.process_round"; "Boxy_hot_loop.renamed_away" ]) ]
-  in
-  (match
-     List.filter
-       (fun d -> d.Alloc_lint.code = "unknown-hot-root")
-       (Alloc_lint.lint_strings ~roots ~golden files)
-   with
-  | [ d ] ->
-    Alcotest.(check bool) "it is an error" true (d.Alloc_lint.severity = Lint.Error);
-    Alcotest.(check string) "located in the root's module" "lib/sim/boxy_hot_loop.ml"
-      d.Alloc_lint.file;
-    Alcotest.(check bool) "names the bogus root" true
-      (contains ~affix:"Boxy_hot_loop.renamed_away" d.Alloc_lint.message)
-  | diags -> Alcotest.failf "expected one unknown-hot-root, got %d" (List.length diags));
-  Alcotest.(check (list string)) "roots of unlinted modules are not judged" []
-    (alloc_codes
-       (Alloc_lint.lint_strings ~roots ~golden:(Some empty_golden)
-          [ ("lib/analysis/other.ml", "let x = 1\n") ]))
-
-let test_alloc_parse_error () =
-  match
-    List.filter
-      (fun d -> d.Alloc_lint.code = "parse-error")
-      (Alloc_lint.lint_strings ~roots:boxy_roots ~golden:(Some empty_golden)
-         [ ("lib/broken.ml", "let let let") ])
-  with
-  | [ d ] -> Alcotest.(check string) "parse error located" "lib/broken.ml" d.Alloc_lint.file
-  | diags -> Alcotest.failf "expected one parse error, got %d" (List.length diags)
 
 (* --- golden diagnostic codes ---------------------------------------------- *)
 
@@ -673,14 +470,7 @@ let test_golden_codes () =
   Alcotest.(check (list string))
     "share lint codes"
     [ "global-mutable-core"; "shared-mutable"; "capture-mutates"; "unused-allowlist"; "parse-error" ]
-    Share_lint.codes;
-  Alcotest.(check (list string))
-    "alloc lint codes"
-    [
-      "new-alloc-class"; "alloc-count-growth"; "alloc-count-shrink"; "baseline-missing";
-      "unused-allowlist"; "parse-error"; "unknown-hot-root";
-    ]
-    Alloc_lint.codes
+    Share_lint.codes
 
 (* --- determinism checker ------------------------------------------------- *)
 
@@ -861,29 +651,8 @@ let () =
             test_share_lint_racy_fixture;
           Alcotest.test_case "parse errors surface as diagnostics" `Quick
             test_share_lint_parse_error;
-        ] );
-      ( "callgraph",
-        [
-          Alcotest.test_case "whole-tree reachability matches share-lint verdicts" `Quick
-            test_callgraph_matches_share_lint_verdicts;
-        ] );
-      ( "alloc lint",
-        [
-          Alcotest.test_case "seed violation fires on every class" `Quick
-            test_alloc_seed_violation;
-          Alcotest.test_case "boxy fixture flagged as new hot-path classes" `Quick
-            test_alloc_boxy_fixture;
-          Alcotest.test_case "old boxy observe path still trips the analyzer" `Quick
-            test_alloc_boxy_observe_path;
-          Alcotest.test_case "inventory roundtrip, growth and shrink" `Quick
-            test_alloc_inventory_roundtrip_and_diff;
-          Alcotest.test_case "missing or unreadable baseline is an error" `Quick
-            test_alloc_missing_baseline;
-          Alcotest.test_case "stale allowlist entries located" `Quick
-            test_alloc_unused_allowlist;
-          Alcotest.test_case "parse errors surface as diagnostics" `Quick
-            test_alloc_parse_error;
-          Alcotest.test_case "unknown hot root is an error" `Quick test_alloc_unknown_hot_root;
+          Alcotest.test_case "helper-chain verdicts" `Quick
+            test_share_lint_helper_chain_verdicts;
         ] );
       ( "determinism",
         [

@@ -101,6 +101,25 @@ let contains ~needle haystack =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
+(* Worker counts below one are rejected up front, by [Bench.run] itself,
+   before any job runs. *)
+let test_jobs_validation () =
+  List.iter
+    (fun jobs ->
+      match Bench.check_jobs jobs with
+      | Ok () -> Alcotest.failf "--jobs %d accepted" jobs
+      | Error message ->
+        Alcotest.(check bool) "names the value" true
+          (contains ~needle:(string_of_int jobs) message))
+    [ 0; -3 ];
+  List.iter
+    (fun jobs -> Alcotest.(check bool) "positive counts pass" true (Bench.check_jobs jobs = Ok ()))
+    [ 1; 2 ];
+  match Bench.run { Bench.default_options with jobs = -3; only = [ "bounds" ] } with
+  | Ok _ -> Alcotest.fail "Bench.run accepted --jobs -3"
+  | Error message ->
+    Alcotest.(check bool) "Bench.run reports the value" true (contains ~needle:"-3" message)
+
 let test_selection () =
   (match Bench.selection [ "a3"; "e1" ] with
   | Ok jobs ->
@@ -249,9 +268,9 @@ let with_results_json json f =
       Out_channel.with_open_text path (fun oc -> output_string oc (Json.to_string_pretty json));
       f path)
 
-(* The acceptance bar for the dynamic half of the allocation gate: an
-   injected words/active-round regression over a committed ceiling must
-   fail the compare. *)
+(* The acceptance bar for the allocation gate's compare: an injected
+   words/active-round regression over a committed ceiling must fail the
+   compare. *)
 let test_compare_alloc_gate () =
   with_results_json
     (alloc_results_file [ ("e1", 10.0, Some 1000.0, None) ])
@@ -303,6 +322,29 @@ let test_alloc_checks_semantics () =
   | None -> Alcotest.fail "expected a delta for the profiled pair");
   Alcotest.(check bool) "no delta without a baseline rate" true
     (Bench.alloc_delta (List.nth checks 1) = None)
+
+(* The acceptance bar for the in-loop words gate: the packed observation
+   path passes a ceiling built from its own rate by the baseline's rule,
+   while the same scenario on the boxed [observe] path (the variant
+   allocated per touched receiver) is over it. *)
+let test_alloc_gate_catches_boxed_observe () =
+  let spec = Scenario.preset_exn "quickstart" in
+  let rate ~boxed =
+    let s = Scenario.summarize (Scenario.run ~mode:`Sparse ~boxed spec) in
+    Alcotest.(check bool) "the run has active rounds" true (s.Scenario.active_rounds > 0);
+    s.Scenario.loop_words /. float_of_int s.Scenario.active_rounds
+  in
+  let packed = rate ~boxed:false and boxed = rate ~boxed:true in
+  let checks =
+    Bench.alloc_checks
+      ~ceilings:[ ("packed", Bench.words_ceiling packed); ("boxed", Bench.words_ceiling packed) ]
+      ~rates:[ ("packed", packed); ("boxed", boxed) ]
+      ()
+  in
+  Alcotest.(check (list bool)) "packed passes, boxed is over" [ false; true ]
+    (List.map Bench.alloc_exceeded checks);
+  Alcotest.(check bool) "the report says OVER CEILING" true
+    (contains ~needle:"OVER CEILING" (Bench.render_alloc checks))
 
 (* --- Runner byte-identity ------------------------------------------------- *)
 
@@ -398,6 +440,30 @@ let test_profile_counters () =
   | Ok other -> Alcotest.failf "expected one entry, got %d" (List.length other)
   | Error message -> Alcotest.failf "profiled results rejected by compare: %s" message
 
+(* The in-loop words count is exact: the same job reports the same summed
+   loop words and active rounds on one domain, on two, and on a second
+   run, with byte-identical tables. *)
+let test_loop_words_exact () =
+  let job =
+    match Registry.find "e8a" with
+    | Some job -> job
+    | None -> Alcotest.fail "missing job e8a"
+  in
+  let run jobs =
+    let o = Runner.run_job ~jobs ~profile:true ~scale:Experiment.Quick job in
+    match o.Runner.profile with
+    | Some p -> (Runner.render o, p.Runner.loop_words, p.Runner.active_rounds)
+    | None -> Alcotest.fail "profile requested but absent"
+  in
+  let ((table, words, active) as first) = run 1 in
+  Alcotest.(check bool) "the loop allocates" true (words > 0.0 && active > 0);
+  List.iter
+    (fun (label, (table', words', active')) ->
+      Alcotest.(check string) (label ^ ": table identical") table table';
+      Alcotest.(check (float 0.0)) (label ^ ": loop words identical") words words';
+      Alcotest.(check int) (label ^ ": active rounds identical") active active')
+    [ ("jobs=2", run 2); ("second run", run 1); ("first run", first) ]
+
 (* Sanitized parallel maps of a pure function agree with List.map for any
    worker count — the sanitizer's sequential re-run never perturbs clean
    results. *)
@@ -429,6 +495,7 @@ let () =
           Alcotest.test_case "unique ids" `Quick test_registry_unique;
           Alcotest.test_case "find" `Quick test_registry_find;
           Alcotest.test_case "bench selection" `Quick test_selection;
+          Alcotest.test_case "bench rejects --jobs below 1" `Quick test_jobs_validation;
         ] );
       ( "bench compare",
         [
@@ -441,6 +508,8 @@ let () =
           Alcotest.test_case "injected words/active-round regression detected" `Quick
             test_compare_alloc_gate;
           Alcotest.test_case "allocation-check semantics" `Quick test_alloc_checks_semantics;
+          Alcotest.test_case "words gate catches boxed observe" `Quick
+            test_alloc_gate_catches_boxed_observe;
         ] );
       ( "runner",
         [
@@ -448,6 +517,8 @@ let () =
           Alcotest.test_case "sanitized run byte-identical to jobs=1" `Quick
             test_sanitize_matches_sequential;
           Alcotest.test_case "profile counters" `Quick test_profile_counters;
+          Alcotest.test_case "in-loop words exact" `Quick
+            test_loop_words_exact;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qtests);
     ]

@@ -132,6 +132,7 @@ let test_experiment_aggregate () =
       correct_rate = rate;
       rounds;
       active_rounds = rounds;
+      loop_words = 0.0;
       hit_cap = false;
       total_broadcasts = 1000;
       mean_completion_round = 10.0;
